@@ -131,16 +131,3 @@ def partition(strategies: Sequence[StrategyParams], side: str = "row",
     classes = sorted(tuple(g) for g in groups.values())
     return EquivClassPartition(tuple(classes))
 
-
-def classify_against(p: StrategyParams, strategies: Sequence[StrategyParams],
-                     part: EquivClassPartition, side: str = "row",
-                     mode: str = "auto", tol: float = FLOAT_TOL) -> int:
-    """Index of the class of `part` that p is equivalent to, or -1 if none.
-
-    Classes are disjoint, so membership is tested against one representative.
-    """
-    for k, cls in enumerate(part.classes):
-        rep = strategies[cls[0]]
-        if are_equivalent(p, rep, strategies, side=side, mode=mode, tol=tol):
-            return k
-    return -1

@@ -62,12 +62,16 @@ class Q2:
 
     def __add__(self, other):
         o = Q2.coerce(other)
+        if not o.b:
+            return Q2(self.a + o.a, self.b)
         return Q2(self.a + o.a, self.b + o.b)
 
     __radd__ = __add__
 
     def __sub__(self, other):
         o = Q2.coerce(other)
+        if not o.b:
+            return Q2(self.a - o.a, self.b)
         return Q2(self.a - o.a, self.b - o.b)
 
     def __rsub__(self, other):
@@ -79,6 +83,8 @@ class Q2:
 
     def __mul__(self, other):
         o = Q2.coerce(other)
+        if not (self.b or o.b):
+            return Q2(self.a * o.a, _ZERO)
         # (a + b r)(c + d r) = ac + 2bd + (ad + bc) r, with r = sqrt(2)
         return Q2(self.a * o.a + 2 * self.b * o.b, self.a * o.b + self.b * o.a)
 
@@ -213,28 +219,37 @@ class Angle:
 
     @staticmethod
     def parse(text) -> "Angle":
-        """Parse '1/2 pi', 'pi', '0', '3/4pi' or a float-radian literal."""
+        """Parse '1/2 pi', 'pi', '0', '3/4pi' or a float-radian literal.
+
+        A zero denominator or a non-finite value raises DomainError.
+        """
         if isinstance(text, Angle):
             return text
         if isinstance(text, (int, Fraction)):
             return Angle.pi_frac(text)
         if isinstance(text, float):
+            if not math.isfinite(text):
+                raise DomainError(f"angle {text!r} is not finite")
             return Angle.radians(text)
         s = str(text).strip()
         m = _ANGLE_RE.match(s)
-        if m:
-            num = int(m.group("num")) if m.group("num") else 1
-            den = int(m.group("den")) if m.group("den") else 1
-            k = Fraction(num, den)
-            if m.group("sign") == "-":
-                k = -k
-            return Angle.pi_frac(k)
         try:
+            if m:
+                num = int(m.group("num")) if m.group("num") else 1
+                den = int(m.group("den")) if m.group("den") else 1
+                k = Fraction(num, den)
+                if m.group("sign") == "-":
+                    k = -k
+                return Angle.pi_frac(k)
             if "/" in s:
                 return Angle.pi_frac(Fraction(s))  # bare rational means k*pi
             f = float(s)
         except ValueError:
             raise DomainError(f"cannot parse angle {text!r}") from None
+        except ZeroDivisionError:
+            raise DomainError(f"angle {text!r} has a zero denominator") from None
+        if not math.isfinite(f):
+            raise DomainError(f"angle {text!r} is not finite")
         if f == int(f) and "." not in s and "e" not in s.lower():
             return Angle.pi_frac(int(f))  # bare integer means k*pi
         return Angle.radians(f)

@@ -145,32 +145,44 @@ PRISONERS_DILEMMA = Bimatrix2.from_rows([[(3, 3), (0, 5)], [(5, 0), (1, 1)]])
 # W = sin t1 sin t2 / 4 (theta/2 in [0, pi/2], so the products carry no sign).
 
 
-@lru_cache(maxsize=1 << 18)
-def _coefficients_exact(t1: Fraction, a1: Fraction, b1: Fraction,
-                        t2: Fraction, a2: Fraction, b2: Fraction) -> CoefficientVector:
+@lru_cache(maxsize=1024)
+def _theta_weights(t1: Fraction, t2: Fraction) -> Tuple[Q2, Q2, Q2, Q2, Q2]:
+    """CC, SS, CS, SC and 2W of the expansion above: the factors that depend
+    on the thetas only."""
     c1, c2 = exact_cos(t1), exact_cos(t2)
     s1s2 = (exact_cos(t1 - t2) - exact_cos(t1 + t2)) * _HALF
     cc = (1 + c1) * (1 + c2) * _QUARTER
     ss = (1 - c1) * (1 - c2) * _QUARTER
     cs = (1 + c1) * (1 - c2) * _QUARTER
     sc = (1 - c1) * (1 + c2) * _QUARTER
-    w = s1s2 * _QUARTER
+    return cc, ss, cs, sc, s1s2 * _HALF
 
-    def sq_cos(k):  # cos^2(k*pi)
-        return (1 + exact_cos(2 * k)) * _HALF
 
-    def sq_sin(k):
-        return (1 - exact_cos(2 * k)) * _HALF
+@lru_cache(maxsize=1024)
+def _sq_cos(k: Fraction) -> Q2:  # cos^2(k*pi)
+    return (1 + exact_cos(2 * k)) * _HALF
 
-    def cos_sin(k, m):  # cos(k*pi) sin(m*pi)
-        return (exact_sin(k + m) - exact_sin(k - m)) * _HALF
 
+@lru_cache(maxsize=1024)
+def _sq_sin(k: Fraction) -> Q2:
+    return (1 - exact_cos(2 * k)) * _HALF
+
+
+@lru_cache(maxsize=4096)
+def _cos_sin(k: Fraction, m: Fraction) -> Q2:  # cos(k*pi) sin(m*pi)
+    return (exact_sin(k + m) - exact_sin(k - m)) * _HALF
+
+
+@lru_cache(maxsize=1 << 18)
+def _coefficients_exact(t1: Fraction, a1: Fraction, b1: Fraction,
+                        t2: Fraction, a2: Fraction, b2: Fraction) -> CoefficientVector:
+    cc, ss, cs, sc, w2 = _theta_weights(t1, t2)
     x, y = a1 + a2, b1 + b2
     u, v = a1 - b2, a2 - b1
-    c00 = sq_cos(x) * cc + 2 * cos_sin(x, y) * w + sq_sin(y) * ss
-    c11 = sq_sin(x) * cc - 2 * cos_sin(y, x) * w + sq_cos(y) * ss
-    c01 = sq_cos(u) * cs + 2 * cos_sin(u, v) * w + sq_sin(v) * sc
-    c10 = sq_sin(u) * cs + 2 * cos_sin(v, u) * w + sq_cos(v) * sc
+    c00 = _sq_cos(x) * cc + _cos_sin(x, y) * w2 + _sq_sin(y) * ss
+    c11 = _sq_sin(x) * cc - _cos_sin(y, x) * w2 + _sq_cos(y) * ss
+    c01 = _sq_cos(u) * cs + _cos_sin(u, v) * w2 + _sq_sin(v) * sc
+    c10 = _sq_sin(u) * cs + _cos_sin(v, u) * w2 + _sq_cos(v) * sc
     return CoefficientVector(c00, c01, c10, c11)
 
 

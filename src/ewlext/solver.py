@@ -1,8 +1,14 @@
-"""Brute-force search for strategy pairs passing the invariance criterion.
+"""Exhaustive search for strategy pairs passing the invariance criterion.
 
 The search sweeps a phase lattice at fixed theta1 (theta2 = pi - theta1),
-runs the executable criterion on {I, iX, U1, U2} for every tuple, and
+decides the executable criterion on {I, iX, U1, U2} for every tuple, and
 attributes each hit to one of the families A-E by its defining congruences.
+On the exact pi/4 lattice a table kernel decides a whole slice at once: the
+coefficient vectors depend only on the two thetas and on sums and
+differences of phases, so at most 1024 exact coefficient calls per slice
+fill tables of interned ids, and the criterion becomes integer comparisons
+over all 4096 tuples.  invariance.criterion_holds is the kernel's reference;
+the float and pi/8 searches call it tuple by tuple.
 The criterion itself is the ground truth.  The named trigonometric relations
 in check_relations are not implied by it: they single out the named families
 A-E, and every criterion hit outside those families violates at least one.
@@ -30,11 +36,14 @@ import io
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Dict, List, Tuple
+from typing import Dict, Iterator, List, Tuple
+
+import numpy as np
 
 from .errors import ExactnessError
 from .exactnum import Angle
 from .invariance import criterion_holds
+from .payoff import coefficients
 from .su2 import IDENTITY, IX, canonicalize
 
 _HALF = Fraction(1, 2)
@@ -140,11 +149,106 @@ class SearchResult:
         return buf.getvalue()
 
 
+def lattice_phi(theta: Fraction, a: int, b: int) -> Tuple[Fraction, int, int]:
+    """su2.phi on a pi/4 lattice point: (theta, a, b) -> (1 - theta, -b, 4 - a).
+
+    theta is in units of pi; a and b are phase indices in units of pi/4,
+    reduced mod 8.  Works elementwise on numpy index arrays as well.
+    """
+    return 1 - theta, -b % 8, (4 - a) % 8
+
+
+def _coefficient_tables(thetas: List[Fraction]):
+    """Interned exact coefficient ids for every theta pair on the pi/4 lattice.
+
+    c00 and c11 depend only on the two thetas and on x = a_p + a_o,
+    y = b_p + b_o; c01 and c10 only on u = a_p - b_o, v = a_o - b_p (see
+    payoff.py).  A player at (t_p, x, y) against an opponent at (t_o, 0, 0)
+    therefore yields xy[p, o, x, y], the id of (c00, c11), and
+    uv[p, o, x, -y], the id of (c01, c10).  Equal ids mean exactly equal
+    Q(sqrt(2)) pairs.
+    """
+    n = len(thetas)
+    xy = np.empty((n, n, 8, 8), dtype=np.intp)
+    uv = np.empty_like(xy)
+    ids: Dict[tuple, int] = {}
+    opponents = [canonicalize(t, 0, 0) for t in thetas]
+    for p, tp in enumerate(thetas):
+        for m in range(8):
+            for k in range(8):
+                player = canonicalize(tp, Fraction(m, 4), Fraction(k, 4))
+                for o, opponent in enumerate(opponents):
+                    c = coefficients(player, opponent, mode="exact")
+                    xy[p, o, m, k] = ids.setdefault((c.c00, c.c11), len(ids))
+                    uv[p, o, m, -k % 8] = ids.setdefault((c.c01, c.c10), len(ids))
+    return xy, uv
+
+
+def _exact_slice_hits(th1: Fraction) -> Iterator[Tuple[int, int, int, int]]:
+    """Phase indices (a1, b1, a2, b2) of every pi/4 lattice tuple at theta1 =
+    th1 * pi whose set S = {I, iX, U1, U2} passes criterion_holds.
+
+    All 4096 tuples are checked at once.  A strategy's row is its coefficient
+    ids against S; the criterion holds iff every phi image's row equals some
+    row of S and every row of S equals some image's row.  Ids compare
+    exactly, so equality is transitive and this is criterion_holds' rule:
+    each image lands in a class, and the images cover every class.
+    """
+    thetas = list(dict.fromkeys((Fraction(0), Fraction(1), th1, 1 - th1)))
+    xy, uv = _coefficient_tables(thetas)
+    pos = {t: i for i, t in enumerate(thetas)}
+    a1, b1, a2, b2 = np.indices((8, 8, 8, 8)).reshape(4, -1)
+    zero = np.zeros_like(a1)
+    s = [(Fraction(0), zero, zero), (Fraction(1), zero, zero),
+         (th1, a1, b1), (1 - th1, a2, b2)]
+
+    def columns(strategies):
+        # theta positions (strategy,), phase indices (tuple, strategy)
+        return (np.array([pos[t] for t, _, _ in strategies]),
+                np.stack([a for _, a, _ in strategies], 1),
+                np.stack([b for _, _, b in strategies], 1))
+
+    t_o, a_o, b_o = columns(s)
+    a_o, b_o = a_o[:, None, :], b_o[:, None, :]
+
+    def rows(strategies):
+        # (tuple, player, opponent, 2) ids of each player against S
+        t_p, a_p, b_p = columns(strategies)
+        t_p, a_p, b_p = t_p[:, None], a_p[:, :, None], b_p[:, :, None]
+        return np.stack((xy[t_p, t_o, (a_p + a_o) % 8, (b_p + b_o) % 8],
+                         uv[t_p, t_o, (a_p - b_o) % 8, (a_o - b_p) % 8]), axis=-1)
+
+    image_rows = rows([lattice_phi(*strategy) for strategy in s])
+    match = (image_rows[:, :, None] == rows(s)[:, None, :]).all(axis=(3, 4))
+    holds = match.any(axis=2).all(axis=1) & match.any(axis=1).all(axis=1)
+    for n in np.flatnonzero(holds):
+        yield int(a1[n]), int(b1[n]), int(a2[n]), int(b2[n])
+
+
+def _criterion_slice_hits(th1: Angle, points: List[Fraction],
+                          mode: str) -> Iterator[Tuple[Fraction, ...]]:
+    """Phases of every lattice tuple at theta1 passing criterion_holds,
+    tested one tuple at a time."""
+    th2 = Angle.pi_frac(1 - th1.frac)
+    for a1 in points:
+        for b1 in points:
+            u1 = canonicalize(th1, Angle.pi_frac(a1), Angle.pi_frac(b1))
+            for a2 in points:
+                for b2 in points:
+                    u2 = canonicalize(th2, Angle.pi_frac(a2), Angle.pi_frac(b2))
+                    if criterion_holds([IDENTITY, IX, u1, u2], mode=mode).holds:
+                        yield a1, b1, a2, b2
+
+
 def search_solutions(spec: LatticeSpec, mode: str = "exact") -> SearchResult:
     """Test every lattice tuple with theta2 = pi - theta1 against the criterion.
 
-    mode 'exact' requires a pi/4 step (pi/8 trigonometry leaves Q(sqrt(2)));
-    the pi/8 stress lattice runs in float mode with tolerance 1e-10.
+    mode 'exact' requires a pi/4 step (pi/8 trigonometry leaves Q(sqrt(2)))
+    and checks each slice with the table kernel _exact_slice_hits: at most
+    1024 exact coefficient vectors per slice, interned to integer ids, and
+    the criterion evaluated on all 4096 tuples at once.  criterion_holds is
+    its reference, and every other mode calls it tuple by tuple; the pi/8
+    stress lattice runs in float mode with tolerance 1e-10.
     """
     if mode == "exact" and spec.phase_step != Fraction(1, 4):
         raise ExactnessError(
@@ -160,20 +264,14 @@ def search_solutions(spec: LatticeSpec, mode: str = "exact") -> SearchResult:
         th1 = theta.mod_2pi()
         if th1.frac > 1:
             raise ExactnessError(f"theta1 = {th1} is outside [0, pi]")
-        th2 = Angle.pi_frac(1 - th1.frac)
-        for a1 in points:
-            for b1 in points:
-                u1 = canonicalize(th1, Angle.pi_frac(a1), Angle.pi_frac(b1))
-                for a2 in points:
-                    for b2 in points:
-                        tested += 1
-                        u2 = canonicalize(th2, Angle.pi_frac(a2), Angle.pi_frac(b2))
-                        report = criterion_holds([IDENTITY, IX, u1, u2], mode=mode)
-                        if report.holds:
-                            hits.append(
-                                Solution(th1, a1, b1, a2, b2,
-                                         classify_tuple(th1, a1, b1, a2, b2))
-                            )
+        if mode == "exact":
+            found = (tuple(points[i] for i in idx) for idx in _exact_slice_hits(th1.frac))
+        else:
+            found = _criterion_slice_hits(th1, points, mode)
+        for a1, b1, a2, b2 in found:
+            hits.append(Solution(th1, a1, b1, a2, b2,
+                                 classify_tuple(th1, a1, b1, a2, b2)))
+        tested += len(points) ** 4
     hits.sort(key=lambda s: (float(s.theta1.value), s.alpha1, s.beta1,
                              s.alpha2, s.beta2))
     return SearchResult(tuple(hits), tested)

@@ -2,7 +2,7 @@
 PASS/FAIL line (run with -s to see the lines for passing tests).
 
 Criterion 3 reproduces the named families' lattice counts (B=64, C=64, D=32,
-E=32) and accounts for every other hit of the brute-force criterion search.
+E=32) and accounts for every other hit of the exhaustive criterion search.
 The paper reports five *main* classes, and the search finds two further
 groups of invariant pairs on the pi/4 lattice, labelled UNCLASSIFIED: the
 mixed-grid group (64 tuples at every interior theta1, with U2 = +-phi(U1))

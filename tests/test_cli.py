@@ -224,6 +224,24 @@ def test_enumerate_summary(capsys):
     assert "A1=1024" in err
 
 
+def test_enumerate_theta_outside_q_sqrt2_is_input_error(capsys):
+    code, out, err = run(capsys, "enumerate", "--theta", "1/6 pi")
+    assert code == 2
+    assert out == ""
+    assert err == "error: cos(1/6*pi) is not representable in Q(sqrt(2))\n"
+
+
+@pytest.mark.parametrize("argv", [
+    *(["enumerate", "--theta", bad] for bad in ("1/0 pi", "1/0", "nan", "inf", "1e400")),
+    ["payoff", "--game", PD_JSON, "--p1", "1/0 pi,0,0", "--p2", "0,0,0"],
+])
+def test_bad_angle_is_one_line_input_error(capsys, argv):
+    code, out, err = run(capsys, *argv)
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: angle ") and err.count("\n") == 1
+
+
 def test_missing_game_is_input_error(capsys):
     code, _, err = run(capsys, "extend", "--class", "B", "--game", "/nope/missing.json")
     assert code == 2

@@ -68,6 +68,13 @@ def test_angle_parse_and_format():
         Angle.parse("one pi and a half")
 
 
+@pytest.mark.parametrize("text", ["1/0 pi", "-1/0pi", "1/0", "nan", "inf", "-inf",
+                                  "1e400", float("nan"), float("inf")])
+def test_angle_parse_rejects_zero_denominator_and_non_finite(text):
+    with pytest.raises(DomainError):
+        Angle.parse(text)
+
+
 def test_angle_arithmetic():
     a = Angle.pi_frac(Fraction(3, 4))
     b = Angle.pi_frac(Fraction(1, 2))

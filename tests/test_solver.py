@@ -1,16 +1,20 @@
 """Lattice search tests.
 
-The brute-force criterion search is the ground truth here.  On the pi/4
+The exhaustive criterion search is the ground truth here.  On the pi/4
 lattice it recovers every discrete tuple of the named families B-E with the
 documented cardinalities, and additionally finds mixed-grid tuples (one
 player phase pair on the quarter grid, the other on the half grid) that are
 strictly closed under the parameter bijection modulo a global sign.  Those
 hits are genuine solutions of the invariance criterion; they fall outside
 the named families and are reported as UNCLASSIFIED.  Every hit is
-independently validated end to end in test_unclassified_hits_are_genuine.
+independently validated end to end in test_unclassified_hits_are_genuine,
+and the exact table kernel is checked against criterion_holds tuple by tuple
+in test_table_kernel_agrees_with_criterion_holds.
 """
 
+import random
 from fractions import Fraction
+from itertools import product
 
 import pytest
 
@@ -23,10 +27,12 @@ from ewlext import (
     check_relations,
     criterion_holds,
     enumerate_discrete_solutions,
+    phi,
+    coefficients,
     search_solutions,
     verify_invariance_end_to_end,
 )
-from ewlext.solver import UNCLASSIFIED, classify_tuple
+from ewlext.solver import UNCLASSIFIED, _coefficient_tables, classify_tuple, lattice_phi
 from conftest import random_rational_game
 
 HALF = Fraction(1, 2)
@@ -40,6 +46,11 @@ def result_half_pi():
 @pytest.fixture(scope="module")
 def result_third_pi():
     return search_solutions(LatticeSpec.create(["1/3 pi"]))
+
+
+@pytest.fixture(scope="module")
+def result_quarter_pi():
+    return search_solutions(LatticeSpec.create(["1/4 pi"]))
 
 
 def _phase_tuples(result, label_prefix):
@@ -128,6 +139,59 @@ def test_quarter_grid_difference_cases_2_and_3_empty(result_half_pi):
             d1 = (s.alpha2 - s.beta1) % 1    # 0 for case n*pi, 1/2 otherwise
             d2 = (s.alpha1 - s.beta2) % 1
             assert d1 == d2
+
+
+def test_table_kernel_agrees_with_criterion_holds(result_half_pi, result_third_pi,
+                                                  result_quarter_pi):
+    # the exact search checks whole slices on interned coefficient tables;
+    # criterion_holds is its reference, tuple by tuple: every reported hit
+    # passes it and a seeded sample of the other tuples fails it
+    rng = random.Random(20240603)
+    quarters = [Fraction(k, 4) for k in range(8)]
+    for result in (result_half_pi, result_third_pi, result_quarter_pi):
+        th1 = result.solutions[0].theta1.frac
+        th2 = 1 - th1
+
+        def tuple_set(a1, b1, a2, b2):
+            return [IDENTITY, IX, canonicalize(th1, a1, b1), canonicalize(th2, a2, b2)]
+
+        hits = {(s.alpha1, s.beta1, s.alpha2, s.beta2) for s in result.solutions}
+        assert len(hits) == len(result.solutions)
+        for t in sorted(hits):
+            assert criterion_holds(tuple_set(*t), mode="exact").holds, t
+        others = [t for t in product(quarters, repeat=4) if t not in hits]
+        for t in rng.sample(others, 256):
+            assert not criterion_holds(tuple_set(*t), mode="exact").holds, t
+        # the kernel's index form of phi is su2.phi on the lattice
+        for theta in {Fraction(0), Fraction(1), th1, th2}:
+            for a in range(8):
+                for b in range(8):
+                    t, pa, pb = lattice_phi(theta, a, b)
+                    assert phi(canonicalize(theta, quarters[a], quarters[b])) == \
+                        canonicalize(t, quarters[pa], quarters[pb])
+
+
+def test_coefficient_tables_intern_exact_vectors():
+    # on random lattice cells, the table ids partition the cells exactly as
+    # their exact coefficient vectors do
+    rng = random.Random(7)
+    thetas = [Fraction(0), Fraction(1), Fraction(1, 4), Fraction(3, 4)]
+    xy, uv = _coefficient_tables(thetas)
+    seen = set()
+    for _ in range(400):
+        p, o = rng.randrange(4), rng.randrange(4)
+        ap, bp, ao, bo = (rng.randrange(8) for _ in range(4))
+        ids = (xy[p, o, (ap + ao) % 8, (bp + bo) % 8], uv[p, o, (ap - bo) % 8, (ao - bp) % 8])
+        vector = coefficients(canonicalize(thetas[p], Fraction(ap, 4), Fraction(bp, 4)),
+                              canonicalize(thetas[o], Fraction(ao, 4), Fraction(bo, 4)),
+                              mode="exact")
+        seen.add((ids, vector))
+    assert len({ids for ids, _ in seen}) == len({v for _, v in seen}) == len(seen)
+
+
+def test_exact_search_rejects_theta_outside_q_sqrt2():
+    with pytest.raises(ExactnessError, match=r"cos\(1/6\*pi\)"):
+        search_solutions(LatticeSpec.create(["1/6 pi"]), mode="exact")
 
 
 def test_no_solutions_off_the_complementary_theta_surface():
