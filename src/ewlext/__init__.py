@@ -16,6 +16,7 @@ from .errors import (
     ExactnessError,
     InvalidClassParams,
     NotDiscreteError,
+    ToleranceError,
 )
 from .exactnum import Angle, Q2, exact_cos, exact_sin
 from .extensions import (
@@ -85,6 +86,7 @@ __all__ = [
     "Q2",
     "SearchResult",
     "StrategyParams",
+    "ToleranceError",
     "are_equivalent",
     "best_response_values",
     "build_extended_game",

@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from fractions import Fraction
 from typing import List, Optional
@@ -287,7 +288,12 @@ def _triple_from_text(text: str) -> StrategyParams:
 
 def cmd_limits(args) -> int:
     game = _load_game(args.game, "float")
-    thetas = [float(t) for t in args.epsilons]
+    try:
+        thetas = [float(t) for t in args.epsilons]
+    except ValueError as exc:
+        raise InputError(f"--epsilons: {exc}") from exc
+    if not all(math.isfinite(t) for t in thetas):
+        raise InputError("--epsilons must be finite numbers")
     lines = ["class,direction,theta1,max_abs_diff,bound,converged"]
     all_ok = True
     for name in ("D1", "D2", "E1", "E2"):

@@ -13,6 +13,11 @@ class ExactnessError(EwlError):
     """Exact arithmetic was requested but the inputs do not support it."""
 
 
+class ToleranceError(EwlError):
+    """Float values lie too close to the comparison tolerance to be
+    compared reliably."""
+
+
 class InvalidClassParams(EwlError):
     """Extension-class parameters violate a defining congruence.
 

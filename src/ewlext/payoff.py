@@ -17,7 +17,7 @@ from typing import NamedTuple, Tuple, Union
 
 import numpy as np
 
-from .errors import DimensionMismatchError, ExactnessError
+from .errors import DimensionMismatchError, DomainError, ExactnessError
 from .exactnum import Q2, exact_cos, exact_sin
 from .su2 import StrategyParams, build_unitary
 
@@ -45,25 +45,30 @@ class CoefficientVector(NamedTuple):
 
 
 def parse_scalar(x) -> Scalar:
-    """Parse a payoff entry: exact if written as an int or 'p/q' string."""
+    """Parse a payoff entry: exact if written as an int or 'p/q' string.
+
+    A float entry must be finite; NaN and inf raise DomainError.
+    """
     if isinstance(x, (int, Fraction)):
         return Fraction(x)
-    if isinstance(x, float):
-        return x
-    s = str(x).strip()
-    try:
-        return Fraction(s)
-    except ValueError:
-        pass
-    if "sqrt(2)" in s:
-        head, _, tail = s.replace(" ", "").partition("*sqrt(2)")
-        if head.endswith(("+", "-")):
-            raise ExactnessError(f"cannot parse scalar {x!r}")
-        for i in range(len(head) - 1, 0, -1):
-            if head[i] in "+-":
-                return Q2(Fraction(head[:i]), Fraction(head[i:]))
-        return Q2(0, Fraction(head))
-    return float(s)
+    if not isinstance(x, float):
+        s = str(x).strip()
+        try:
+            return Fraction(s)
+        except ValueError:
+            pass
+        if "sqrt(2)" in s:
+            head, _, tail = s.replace(" ", "").partition("*sqrt(2)")
+            if head.endswith(("+", "-")):
+                raise ExactnessError(f"cannot parse scalar {x!r}")
+            for i in range(len(head) - 1, 0, -1):
+                if head[i] in "+-":
+                    return Q2(Fraction(head[:i]), Fraction(head[i:]))
+            return Q2(0, Fraction(head))
+        x = float(s)
+    if not math.isfinite(x):
+        raise DomainError(f"payoff entry {x!r} is not finite")
+    return x
 
 
 def format_scalar(x: Scalar) -> Union[str, float]:

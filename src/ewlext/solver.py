@@ -3,12 +3,14 @@
 The search sweeps a phase lattice at fixed theta1 (theta2 = pi - theta1),
 decides the executable criterion on {I, iX, U1, U2} for every tuple, and
 attributes each hit to one of the families A-E by its defining congruences.
-On the exact pi/4 lattice a table kernel decides a whole slice at once: the
-coefficient vectors depend only on the two thetas and on sums and
-differences of phases, so at most 1024 exact coefficient calls per slice
-fill tables of interned ids, and the criterion becomes integer comparisons
-over all 4096 tuples.  invariance.criterion_holds is the kernel's reference;
-the float and pi/8 searches call it tuple by tuple.
+One table kernel decides every slice, exact or float, on the pi/4 and the
+pi/8 lattice: the coefficient vectors depend only on the two thetas and on
+sums and differences of phases, so one coefficient call per theta pair and
+phase pair (at most 1024 per pi/4 slice, 4096 per pi/8 slice) fills tables
+of interned ids, and the criterion becomes integer comparisons over the
+tuples.  Only the interning differs by mode: exact values by equality,
+floats by clusters at FLOAT_TOL.  invariance.criterion_holds is the kernel's
+reference.
 The criterion itself is the ground truth.  The named trigonometric relations
 in check_relations are not implied by it: they single out the named families
 A-E, and every criterion hit outside those families violates at least one.
@@ -40,11 +42,11 @@ from typing import Dict, Iterator, List, Tuple
 
 import numpy as np
 
-from .errors import ExactnessError
+from .equivalence import FLOAT_TOL
+from .errors import DomainError, ExactnessError, ToleranceError
 from .exactnum import Angle
-from .invariance import criterion_holds
 from .payoff import coefficients
-from .su2 import IDENTITY, IX, canonicalize
+from .su2 import canonicalize
 
 _HALF = Fraction(1, 2)
 
@@ -60,11 +62,14 @@ class LatticeSpec:
 
     def __post_init__(self):
         if self.phase_step not in (Fraction(1, 4), Fraction(1, 8)):
-            raise ValueError("phase_step must be pi/4 or pi/8 (as 1/4 or 1/8)")
+            raise DomainError("phase_step must be pi/4 or pi/8 (as 1/4 or 1/8)")
 
     @staticmethod
     def create(thetas, phase_step="1/4") -> "LatticeSpec":
-        step = Fraction(str(phase_step).replace("pi", "").strip())
+        try:
+            step = Fraction(str(phase_step).replace("pi", "").strip())
+        except (ValueError, ZeroDivisionError):
+            raise DomainError(f"cannot parse phase step {phase_step!r}") from None
         return LatticeSpec(
             tuple(Angle.parse(t) for t in thetas),
             step,
@@ -149,108 +154,166 @@ class SearchResult:
         return buf.getvalue()
 
 
-def lattice_phi(theta: Fraction, a: int, b: int) -> Tuple[Fraction, int, int]:
-    """su2.phi on a pi/4 lattice point: (theta, a, b) -> (1 - theta, -b, 4 - a).
+def lattice_phi(theta: Fraction, a, b, n: int):
+    """su2.phi on a lattice of n phase points per 2 pi:
+    (theta, a, b) -> (1 - theta, -b, n/2 - a) mod n.
 
-    theta is in units of pi; a and b are phase indices in units of pi/4,
-    reduced mod 8.  Works elementwise on numpy index arrays as well.
+    theta is in units of pi; a and b are phase indices in units of 2 pi / n
+    (n = 8 on the pi/4 lattice, 16 on pi/8).  Works elementwise on numpy
+    index arrays as well.
     """
-    return 1 - theta, -b % 8, (4 - a) % 8
+    return 1 - theta, -b % n, (n // 2 - a) % n
 
 
-def _coefficient_tables(thetas: List[Fraction]):
-    """Interned exact coefficient ids for every theta pair on the pi/4 lattice.
+def _intern_exact(values) -> np.ndarray:
+    """Ids of exact values: equal ids mean equal values."""
+    ids: Dict[object, int] = {}
+    return np.array([ids.setdefault(v, len(ids)) for v in values], dtype=np.int32)
+
+
+def _intern_float(values, tol: float = FLOAT_TOL) -> np.ndarray:
+    """Ids of float values: equal ids mean values within tol.
+
+    The sorted values start a new id at every gap wider than tol.  That is
+    closeness at tol only if every cluster is much narrower than tol and
+    every gap much wider, so ToleranceError is raised unless each cluster
+    spans at most tol/100 and each gap is at least 100 tol.
+    """
+    values = np.asarray(values, dtype=np.float64)
+    if not np.isfinite(values).all():
+        raise ToleranceError("coefficient values must be finite")
+    order = np.argsort(values)
+    ordered = values[order]
+    steps = np.diff(ordered)
+    breaks = steps > tol
+    starts = np.flatnonzero(np.r_[True, breaks])
+    ends = np.r_[starts[1:], len(ordered)] - 1
+    width = (ordered[ends] - ordered[starts]).max()
+    gap = steps[breaks].min(initial=np.inf)
+    if width > tol / 100 or gap < 100 * tol:
+        raise ToleranceError(
+            f"float coefficients do not separate at tol = {tol:g}: "
+            f"widest cluster {width:.3g}, narrowest gap {gap:.3g}"
+        )
+    ids = np.empty(len(values), dtype=np.int32)
+    ids[order] = np.r_[0, np.cumsum(breaks)]
+    return ids
+
+
+def _coefficient_tables(thetas: List[Fraction], n: int, mode: str):
+    """Interned coefficient ids for every theta pair on the n-point phase lattice.
 
     c00 and c11 depend only on the two thetas and on x = a_p + a_o,
     y = b_p + b_o; c01 and c10 only on u = a_p - b_o, v = a_o - b_p (see
     payoff.py).  A player at (t_p, x, y) against an opponent at (t_o, 0, 0)
     therefore yields xy[p, o, x, y], the id of (c00, c11), and
-    uv[p, o, x, -y], the id of (c01, c10).  Equal ids mean exactly equal
-    Q(sqrt(2)) pairs.
+    uv[p, o, x, -y], the id of (c01, c10).  The vectors come from
+    payoff.coefficients in the given mode.  'exact' interns Q(sqrt(2))
+    values, so equal ids mean equal pairs; 'float' clusters doubles with
+    _intern_float, so equal ids mean pairs within FLOAT_TOL componentwise.
     """
-    n = len(thetas)
-    xy = np.empty((n, n, 8, 8), dtype=np.intp)
-    uv = np.empty_like(xy)
-    ids: Dict[tuple, int] = {}
+    step = Fraction(2, n)
     opponents = [canonicalize(t, 0, 0) for t in thetas]
+    values = np.empty((len(thetas), len(thetas), n, n, 4),
+                      dtype=object if mode == "exact" else np.float64)
     for p, tp in enumerate(thetas):
-        for m in range(8):
-            for k in range(8):
-                player = canonicalize(tp, Fraction(m, 4), Fraction(k, 4))
+        for m in range(n):
+            for k in range(n):
+                player = canonicalize(tp, m * step, k * step)
                 for o, opponent in enumerate(opponents):
-                    c = coefficients(player, opponent, mode="exact")
-                    xy[p, o, m, k] = ids.setdefault((c.c00, c.c11), len(ids))
-                    uv[p, o, m, -k % 8] = ids.setdefault((c.c01, c.c10), len(ids))
+                    values[p, o, m, k] = coefficients(player, opponent, mode=mode)
+    intern = _intern_exact if mode == "exact" else _intern_float
+    ids = intern(values.ravel()).reshape(values.shape).astype(np.int64)
+    size = ids.max() + 1
+
+    def pair_ids(i, j):  # one compact id per pair of component ids
+        keys = ids[..., i] * size + ids[..., j]
+        return np.unique(keys, return_inverse=True)[1].reshape(keys.shape)
+
+    xy = pair_ids(0, 3)
+    uv = np.empty_like(xy)
+    uv[:, :, :, -np.arange(n) % n] = pair_ids(1, 2)
     return xy, uv
 
 
-def _exact_slice_hits(th1: Fraction) -> Iterator[Tuple[int, int, int, int]]:
-    """Phase indices (a1, b1, a2, b2) of every pi/4 lattice tuple at theta1 =
-    th1 * pi whose set S = {I, iX, U1, U2} passes criterion_holds.
+def _entry_table(xy, uv, states, n: int) -> np.ndarray:
+    """E[i, j]: the id of the coefficient vector of lattice strategy
+    states[i] against states[j], where a state is (theta position * n +
+    alpha index) * n + beta index.  Equal entries mean equal xy and uv ids.
+    """
+    t, a, b = states // (n * n), states // n % n, states % n
+    scale = int(uv.max()) + 1
+    size = (int(xy.max()) + 1) * scale
+    table = np.empty((len(states), len(states)), dtype=np.min_scalar_type(size))
+    for lo in range(0, len(states), n):  # player blocks keep temporaries small
+        p = slice(lo, lo + n)
+        tp, ap, bp = t[p, None], a[p, None], b[p, None]
+        table[p] = (xy[tp, t, (ap + a) % n, (bp + b) % n] * scale
+                    + uv[tp, t, (ap - b) % n, (a - bp) % n])
+    return table
 
-    All 4096 tuples are checked at once.  A strategy's row is its coefficient
-    ids against S; the criterion holds iff every phi image's row equals some
-    row of S and every row of S equals some image's row.  Ids compare
-    exactly, so equality is transitive and this is criterion_holds' rule:
-    each image lands in a class, and the images cover every class.
+
+def _slice_hits(th1: Fraction, n: int, mode: str) -> Iterator[Tuple[int, int, int, int]]:
+    """Phase indices (a1, b1, a2, b2) of every tuple of the n-point lattice
+    at theta1 = th1 * pi whose set S = {I, iX, U1, U2} passes criterion_holds.
+
+    Every strategy of some S or phi(S) gets a row of the entry table, and
+    the tuples are checked n * n at a time, one chunk per (a1, b1).  A
+    strategy's row is its entries against S; the criterion holds iff every
+    phi image's row equals some row of S and every row of S equals some
+    image's row.  Entry equality is transitive, and it is exact equality in
+    mode 'exact' and closeness at FLOAT_TOL in mode 'float', so this is
+    criterion_holds' rule: each image lands in a class, and the images
+    cover every class.
     """
     thetas = list(dict.fromkeys((Fraction(0), Fraction(1), th1, 1 - th1)))
-    xy, uv = _coefficient_tables(thetas)
     pos = {t: i for i, t in enumerate(thetas)}
-    a1, b1, a2, b2 = np.indices((8, 8, 8, 8)).reshape(4, -1)
-    zero = np.zeros_like(a1)
+    grid_a, grid_b = np.indices((n, n)).reshape(2, -1)
+    zero = np.zeros(1, dtype=grid_a.dtype)
     s = [(Fraction(0), zero, zero), (Fraction(1), zero, zero),
-         (th1, a1, b1), (1 - th1, a2, b2)]
-
-    def columns(strategies):
-        # theta positions (strategy,), phase indices (tuple, strategy)
-        return (np.array([pos[t] for t, _, _ in strategies]),
-                np.stack([a for _, a, _ in strategies], 1),
-                np.stack([b for _, _, b in strategies], 1))
-
-    t_o, a_o, b_o = columns(s)
-    a_o, b_o = a_o[:, None, :], b_o[:, None, :]
-
-    def rows(strategies):
-        # (tuple, player, opponent, 2) ids of each player against S
-        t_p, a_p, b_p = columns(strategies)
-        t_p, a_p, b_p = t_p[:, None], a_p[:, :, None], b_p[:, :, None]
-        return np.stack((xy[t_p, t_o, (a_p + a_o) % 8, (b_p + b_o) % 8],
-                         uv[t_p, t_o, (a_p - b_o) % 8, (a_o - b_p) % 8]), axis=-1)
-
-    image_rows = rows([lattice_phi(*strategy) for strategy in s])
-    match = (image_rows[:, :, None] == rows(s)[:, None, :]).all(axis=(3, 4))
-    holds = match.any(axis=2).all(axis=1) & match.any(axis=1).all(axis=1)
-    for n in np.flatnonzero(holds):
-        yield int(a1[n]), int(b1[n]), int(a2[n]), int(b2[n])
-
-
-def _criterion_slice_hits(th1: Angle, points: List[Fraction],
-                          mode: str) -> Iterator[Tuple[Fraction, ...]]:
-    """Phases of every lattice tuple at theta1 passing criterion_holds,
-    tested one tuple at a time."""
-    th2 = Angle.pi_frac(1 - th1.frac)
-    for a1 in points:
-        for b1 in points:
-            u1 = canonicalize(th1, Angle.pi_frac(a1), Angle.pi_frac(b1))
-            for a2 in points:
-                for b2 in points:
-                    u2 = canonicalize(th2, Angle.pi_frac(a2), Angle.pi_frac(b2))
-                    if criterion_holds([IDENTITY, IX, u1, u2], mode=mode).holds:
-                        yield a1, b1, a2, b2
+         (th1, grid_a, grid_b), (1 - th1, grid_a, grid_b)]
+    # states of I, iX, U1, U2, phi(I), phi(iX), phi(U1), phi(U2); the U1 and
+    # U2 columns run over their whole grids
+    keys = [(pos[t] * n + a) * n + b
+            for t, a, b in s + [lattice_phi(*strategy, n) for strategy in s]]
+    used = np.zeros(len(thetas) * n * n, dtype=bool)
+    for key in keys:
+        used[key] = True
+    states = np.flatnonzero(used)
+    position = np.cumsum(used) - 1  # of each used key in states
+    columns = [position[key] for key in keys]
+    table = _entry_table(*_coefficient_tables(thetas, n, mode), states, n)
+    # tuple u2 of a chunk has U2 at grid point u2; U1 columns are set per chunk
+    members = np.stack([np.broadcast_to(c, n * n) for c in columns], axis=1)
+    for u1 in range(n * n):
+        members[:, 2], members[:, 6] = columns[2][u1], columns[6][u1]
+        rows = table[members[:, :, None], members[:, None, :4]]
+        match = (rows[:, 4:, None] == rows[:, None, :4]).all(axis=3)
+        holds = match.any(axis=2).all(axis=1) & match.any(axis=1).all(axis=1)
+        for u2 in np.flatnonzero(holds):
+            yield (*divmod(u1, n), *divmod(int(u2), n))
 
 
 def search_solutions(spec: LatticeSpec, mode: str = "exact") -> SearchResult:
     """Test every lattice tuple with theta2 = pi - theta1 against the criterion.
 
-    mode 'exact' requires a pi/4 step (pi/8 trigonometry leaves Q(sqrt(2)))
-    and checks each slice with the table kernel _exact_slice_hits: at most
-    1024 exact coefficient vectors per slice, interned to integer ids, and
-    the criterion evaluated on all 4096 tuples at once.  criterion_holds is
-    its reference, and every other mode calls it tuple by tuple; the pi/8
-    stress lattice runs in float mode with tolerance 1e-10.
+    Every mode runs the table kernel _slice_hits: per slice one coefficient
+    vector per theta pair and phase sum or difference (at most 1024 on the
+    pi/4 lattice, 4096 on pi/8), interned to integer ids, and the criterion
+    decided on integer comparisons, (a1, b1) chunk by chunk.
+    criterion_holds is its reference.  Mode 'exact' interns exact
+    Q(sqrt(2)) vectors and needs the pi/4 step (pi/8 trigonometry leaves
+    Q(sqrt(2))); mode 'float' interns doubles at tolerance FLOAT_TOL = 1e-10
+    and raises ToleranceError if they do not separate cleanly at it.  Mode
+    'auto' is 'exact' on the pi/4 lattice and falls back to 'float' on the
+    pi/8 lattice.
     """
-    if mode == "exact" and spec.phase_step != Fraction(1, 4):
+    if mode not in ("auto", "exact", "float"):
+        raise ValueError(f"unknown mode {mode!r}")
+    eighth = spec.phase_step == Fraction(1, 8)
+    if mode == "auto":
+        mode = "float" if eighth else "exact"
+    if mode == "exact" and eighth:
         raise ExactnessError(
             "exact search supports the pi/4 lattice only; "
             "run the pi/8 stress lattice in float mode"
@@ -264,11 +327,8 @@ def search_solutions(spec: LatticeSpec, mode: str = "exact") -> SearchResult:
         th1 = theta.mod_2pi()
         if th1.frac > 1:
             raise ExactnessError(f"theta1 = {th1} is outside [0, pi]")
-        if mode == "exact":
-            found = (tuple(points[i] for i in idx) for idx in _exact_slice_hits(th1.frac))
-        else:
-            found = _criterion_slice_hits(th1, points, mode)
-        for a1, b1, a2, b2 in found:
+        for idx in _slice_hits(th1.frac, len(points), mode):
+            a1, b1, a2, b2 = (points[i] for i in idx)
             hits.append(Solution(th1, a1, b1, a2, b2,
                                  classify_tuple(th1, a1, b1, a2, b2)))
         tested += len(points) ** 4

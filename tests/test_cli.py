@@ -266,3 +266,22 @@ def test_output_flag_writes_file(capsys, pd_file, tmp_path):
     assert out == ""
     data = json.loads(out_path.read_text())
     assert data["payoffs"][2][2] == ["9/4", "9/4"]
+
+
+@pytest.mark.parametrize("bad", ["abc", "nan", "inf"])
+def test_limits_bad_epsilon_is_one_line_input_error(capsys, pd_file, bad):
+    code, out, err = run(capsys, "limits", "--game", pd_file, "--epsilons", "1e-3", bad)
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: --epsilons") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("entry", ["NaN", "Infinity", '"nan"', '"-inf"', "1e400"])
+def test_payoff_non_finite_float_entry_is_input_error(capsys, entry):
+    game = f'{{"payoffs": [[[{entry}, 3], [0, 5]], [[5, 0], [1, 1]]]}}'
+    code, out, err = run(capsys, "payoff", "--mode", "float", "--game", game,
+                         "--p1", "0,0,0", "--p2", "0,0,0")
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: payoff entry ") and err.count("\n") == 1
+    assert err.rstrip().endswith("is not finite")

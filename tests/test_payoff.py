@@ -6,6 +6,7 @@ import pytest
 
 from ewlext import (
     Bimatrix2,
+    DomainError,
     ExactnessError,
     IDENTITY,
     IX,
@@ -170,6 +171,13 @@ def test_scalar_parse_format_round_trip():
     assert v == Q2(0, Fraction(-1, 4))
     assert parse_scalar("1.5") == Fraction(3, 2)  # decimal strings stay exact
     assert isinstance(parse_scalar(1.5), float)   # JSON numbers stay floats
+
+
+@pytest.mark.parametrize("value", [float("nan"), float("inf"), -float("inf"),
+                                   "nan", "inf", "-inf"])
+def test_parse_scalar_rejects_non_finite(value):
+    with pytest.raises(DomainError, match="not finite"):
+        parse_scalar(value)
 
 
 def test_game_json_round_trip():

@@ -8,17 +8,20 @@ strictly closed under the parameter bijection modulo a global sign.  Those
 hits are genuine solutions of the invariance criterion; they fall outside
 the named families and are reported as UNCLASSIFIED.  Every hit is
 independently validated end to end in test_unclassified_hits_are_genuine,
-and the exact table kernel is checked against criterion_holds tuple by tuple
-in test_table_kernel_agrees_with_criterion_holds.
+and the table kernel is checked against criterion_holds tuple by tuple in
+test_table_kernel_agrees_with_criterion_holds (exact, pi/4) and
+test_float_kernel_agrees_with_criterion_holds (float, pi/8).
 """
 
 import random
 from fractions import Fraction
-from itertools import product
+from itertools import combinations, product
 
+import numpy as np
 import pytest
 
 from ewlext import (
+    DomainError,
     ExactnessError,
     IDENTITY,
     IX,
@@ -30,9 +33,19 @@ from ewlext import (
     phi,
     coefficients,
     search_solutions,
+    ToleranceError,
     verify_invariance_end_to_end,
 )
-from ewlext.solver import UNCLASSIFIED, _coefficient_tables, classify_tuple, lattice_phi
+from ewlext import solver
+from ewlext.equivalence import FLOAT_TOL
+from ewlext.solver import (
+    UNCLASSIFIED,
+    _coefficient_tables,
+    _entry_table,
+    _intern_float,
+    classify_tuple,
+    lattice_phi,
+)
 from conftest import random_rational_game
 
 HALF = Fraction(1, 2)
@@ -51,6 +64,16 @@ def result_third_pi():
 @pytest.fixture(scope="module")
 def result_quarter_pi():
     return search_solutions(LatticeSpec.create(["1/4 pi"]))
+
+
+@pytest.fixture(scope="module")
+def eighth_half_pi():
+    return search_solutions(LatticeSpec.create(["1/2 pi"], "1/8"), mode="float")
+
+
+@pytest.fixture(scope="module")
+def eighth_third_pi():
+    return search_solutions(LatticeSpec.create(["1/3 pi"], "1/8"), mode="float")
 
 
 def _phase_tuples(result, label_prefix):
@@ -166,7 +189,7 @@ def test_table_kernel_agrees_with_criterion_holds(result_half_pi, result_third_p
         for theta in {Fraction(0), Fraction(1), th1, th2}:
             for a in range(8):
                 for b in range(8):
-                    t, pa, pb = lattice_phi(theta, a, b)
+                    t, pa, pb = lattice_phi(theta, a, b, 8)
                     assert phi(canonicalize(theta, quarters[a], quarters[b])) == \
                         canonicalize(t, quarters[pa], quarters[pb])
 
@@ -176,7 +199,7 @@ def test_coefficient_tables_intern_exact_vectors():
     # their exact coefficient vectors do
     rng = random.Random(7)
     thetas = [Fraction(0), Fraction(1), Fraction(1, 4), Fraction(3, 4)]
-    xy, uv = _coefficient_tables(thetas)
+    xy, uv = _coefficient_tables(thetas, 8, "exact")
     seen = set()
     for _ in range(400):
         p, o = rng.randrange(4), rng.randrange(4)
@@ -187,6 +210,26 @@ def test_coefficient_tables_intern_exact_vectors():
                               mode="exact")
         seen.add((ids, vector))
     assert len({ids for ids, _ in seen}) == len({v for _, v in seen}) == len(seen)
+
+
+def test_entry_table_interns_exact_vectors():
+    # on random pairs of lattice strategies, the entry ids partition the
+    # pairs exactly as their exact coefficient vectors do
+    rng = random.Random(8)
+    thetas = [Fraction(0), Fraction(1), Fraction(1, 4), Fraction(3, 4)]
+    states = np.arange(len(thetas) * 64)  # (theta position * 8 + a) * 8 + b
+    table = _entry_table(*_coefficient_tables(thetas, 8, "exact"), states, 8)
+
+    def strategy(state):
+        return canonicalize(thetas[state // 64], Fraction(state // 8 % 8, 4),
+                            Fraction(state % 8, 4))
+
+    seen = set()
+    for _ in range(400):
+        i, j = rng.randrange(len(states)), rng.randrange(len(states))
+        vector = coefficients(strategy(i), strategy(j), mode="exact")
+        seen.add((int(table[i, j]), vector))
+    assert len({e for e, _ in seen}) == len({v for _, v in seen}) == len(seen)
 
 
 def test_exact_search_rejects_theta_outside_q_sqrt2():
@@ -247,18 +290,123 @@ def test_exact_mode_rejects_eighth_step():
         search_solutions(spec, mode="exact")
 
 
-def test_eighth_step_float_probe():
-    # tiny probe of the stress lattice: restrict to one theta, then check
-    # that the pi/4 sub-lattice solutions are all recovered
-    spec = LatticeSpec.create(["1/2 pi"], "1/8")
-    res = search_solutions(spec, mode="float")
-    sub = {
-        (s.alpha1, s.beta1, s.alpha2, s.beta2)
-        for s in res.solutions
-        if all(v.denominator <= 4 for v in (s.alpha1, s.beta1, s.alpha2, s.beta2))
-    }
-    assert set(enumerate_discrete_solutions("B")) <= sub
-    assert set(enumerate_discrete_solutions("C")) <= sub
+def test_eighth_step_float_probe(eighth_half_pi, result_half_pi):
+    # the stress lattice contains the pi/4 lattice, and its hits there are
+    # exactly the exact search's hits, labels included
+    def tuples(solutions):
+        return {(s.alpha1, s.beta1, s.alpha2, s.beta2, s.label) for s in solutions}
+
+    sub = [s for s in eighth_half_pi.solutions
+           if all(v.denominator <= 4 for v in (s.alpha1, s.beta1, s.alpha2, s.beta2))]
+    assert tuples(sub) == tuples(result_half_pi.solutions)
+    assert len(sub) == len(result_half_pi.solutions)
+
+
+def test_float_kernel_agrees_with_criterion_holds(eighth_half_pi, eighth_third_pi):
+    # the pi/8 search runs the table kernel on doubles interned at
+    # FLOAT_TOL; criterion_holds(mode="float") is its reference, tuple by
+    # tuple: every reported hit passes it and a seeded sample of the other
+    # tuples fails it
+    rng = random.Random(20241018)
+    eighths = [Fraction(k, 8) for k in range(16)]
+    for result in (eighth_half_pi, eighth_third_pi):
+        th1 = result.solutions[0].theta1.frac
+        th2 = 1 - th1
+
+        def tuple_set(a1, b1, a2, b2):
+            return [IDENTITY, IX, canonicalize(th1, a1, b1), canonicalize(th2, a2, b2)]
+
+        hits = {(s.alpha1, s.beta1, s.alpha2, s.beta2) for s in result.solutions}
+        assert len(hits) == len(result.solutions)
+        for t in sorted(hits):
+            assert criterion_holds(tuple_set(*t), mode="float").holds, t
+        others = [t for t in product(eighths, repeat=4) if t not in hits]
+        for t in rng.sample(others, 256):
+            assert not criterion_holds(tuple_set(*t), mode="float").holds, t
+        # the kernel's index form of phi is su2.phi on the pi/8 lattice
+        for theta in {Fraction(0), Fraction(1), th1, th2}:
+            for a in range(16):
+                for b in range(16):
+                    t, pa, pb = lattice_phi(theta, a, b, 16)
+                    assert phi(canonicalize(theta, eighths[a], eighths[b])) == \
+                        canonicalize(t, eighths[pa], eighths[pb])
+
+
+@pytest.mark.parametrize("th1", [Fraction(1, 4), Fraction(1, 3), Fraction(2, 3),
+                                 Fraction(3, 4)])
+def test_float_interning_guard_holds_at_bench_thetas(th1):
+    # the pi/8 tables build without ToleranceError, and for every two of
+    # 200 random cells the ids are equal exactly when the float vectors
+    # agree within FLOAT_TOL
+    rng = random.Random(11)
+    thetas = [Fraction(0), Fraction(1), th1, 1 - th1]
+    xy, uv = _coefficient_tables(thetas, 16, "float")
+
+    def cell(p, o, ap, bp, ao, bo):
+        ids = (xy[p, o, (ap + ao) % 16, (bp + bo) % 16],
+               uv[p, o, (ap - bo) % 16, (ao - bp) % 16])
+        vector = coefficients(canonicalize(thetas[p], Fraction(ap, 8), Fraction(bp, 8)),
+                              canonicalize(thetas[o], Fraction(ao, 8), Fraction(bo, 8)),
+                              mode="float")
+        return ids, vector
+
+    cells = [cell(*(rng.randrange(4) for _ in range(2)), *(rng.randrange(16) for _ in range(4)))
+             for _ in range(200)]
+    equal = 0
+    for (ids1, v1), (ids2, v2) in combinations(cells, 2):
+        close = all(abs(x - y) <= FLOAT_TOL for x, y in zip(v1, v2))
+        assert (ids1 == ids2) == close
+        equal += close
+    assert 0 < equal < len(cells) * (len(cells) - 1) // 2
+
+
+def test_float_interning_refuses_values_near_tol():
+    assert list(_intern_float([0.5, 0.25, 0.5 + 1e-16])) == [1, 0, 1]
+    for values in ([0.25, 0.5, 0.5 + 2 * FLOAT_TOL],   # a gap just above tol
+                   [0.25, 0.5, 0.5 + FLOAT_TOL / 2],   # a cluster wider than tol/100
+                   [0.25, float("nan")]):
+        with pytest.raises(ToleranceError):
+            _intern_float(values)
+
+
+def test_float_search_refuses_a_table_with_a_gap_near_tol(monkeypatch):
+    # nudging the alpha = pi/8 vectors by 3 tol puts them 3 tol from the
+    # equal vectors at alpha = 15 pi/8: the kernel raises rather than guess
+    real = solver.coefficients
+
+    def nudged(p1, p2, mode="auto"):
+        c = real(p1, p2, mode=mode)
+        if p1.alpha.frac == Fraction(1, 8):
+            return c._replace(c00=c.c00 + 3 * FLOAT_TOL)
+        return c
+
+    monkeypatch.setattr(solver, "coefficients", nudged)
+    with pytest.raises(ToleranceError):
+        search_solutions(LatticeSpec.create(["1/3 pi"], "1/8"), mode="float")
+
+
+@pytest.mark.parametrize("theta", ["0", "1/4 pi", "1/3 pi", "1/2 pi", "2/3 pi",
+                                   "3/4 pi", "pi"])
+def test_float_search_equals_exact_search_on_quarter_lattice(theta):
+    spec = LatticeSpec.create([theta])
+    assert search_solutions(spec, mode="float") == search_solutions(spec, mode="exact")
+
+
+def test_auto_mode_is_exact_on_quarter_and_float_on_eighth_lattice(result_half_pi,
+                                                                    eighth_half_pi):
+    assert search_solutions(LatticeSpec.create(["1/2 pi"]), mode="auto") == result_half_pi
+    assert search_solutions(LatticeSpec.create(["1/2 pi"], "1/8"),
+                            mode="auto") == eighth_half_pi
+    with pytest.raises(ExactnessError):  # exact on pi/4: no float fall-back
+        search_solutions(LatticeSpec.create(["1/6 pi"]), mode="auto")
+    with pytest.raises(ValueError, match="unknown mode"):
+        search_solutions(LatticeSpec.create(["1/2 pi"]), mode="fast")
+
+
+@pytest.mark.parametrize("step", ["1/0", "abc", "1/0 pi", "1/3"])
+def test_lattice_spec_rejects_bad_step(step):
+    with pytest.raises(DomainError):
+        LatticeSpec.create(["0"], step)
 
 
 def test_check_relations_b_tuple():
