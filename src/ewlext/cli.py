@@ -13,7 +13,8 @@ import sys
 from fractions import Fraction
 from typing import List, Optional
 
-from .errors import EwlError
+from .equivalence import Field
+from .errors import EwlError, ExactnessError
 from .extensions import ClassId, ClassParams, extension_matrix, limit_check, strategy_set
 from .invariance import (
     ExtendedGame,
@@ -39,16 +40,24 @@ class InputError(Exception):
     """User-facing configuration problem; maps to exit code 2."""
 
 
-def _load_game(spec: str, mode: str) -> Bimatrix2:
+def _load_game(spec: str, mode: str, extended: bool = False):
+    """The game given by --game: inline JSON (text starting with '{' or '[')
+    or the path of a JSON file.  A game with 'labels' is an ExtendedGame, accepted
+    only where `extended` allows; any other is a classical Bimatrix2."""
     text = spec.strip()
-    if not text.startswith("{"):
+    if not text.startswith(("{", "[")):
         try:
             with open(text, "r", encoding="utf-8") as fh:
                 text = fh.read()
         except OSError as exc:
             raise InputError(f"cannot read game file {spec!r}: {exc}") from exc
     try:
-        game = Bimatrix2.from_json(json.loads(text))
+        raw = json.loads(text)
+        if not isinstance(raw, dict):
+            raise TypeError("a game must be a JSON object with 'payoffs'")
+        if extended and "labels" in raw:
+            return ExtendedGame.from_json(raw)
+        game = Bimatrix2.from_json(raw)
     except (KeyError, ValueError, TypeError) as exc:
         raise InputError(f"malformed game JSON: {exc}") from exc
     if mode == "exact" and not game.is_exact:
@@ -89,13 +98,6 @@ def _resolve_strategies(args) -> List[StrategyParams]:
     raise InputError("provide --class (with parameters) or --set")
 
 
-def _floatify_game(g: ExtendedGame) -> ExtendedGame:
-    grid = tuple(
-        tuple(PayoffPair(float(p.u1), float(p.u2)) for p in row) for row in g.payoffs
-    )
-    return ExtendedGame(g.labels, grid)
-
-
 def _emit(args, text: str) -> None:
     if args.output:
         with open(args.output, "w", encoding="utf-8") as fh:
@@ -119,17 +121,21 @@ def _oracle_check_extension(game: Bimatrix2, strategies, ext: ExtendedGame) -> N
 
 
 def _build_extension(args, game: Bimatrix2) -> ExtendedGame:
+    strategies = _resolve_strategies(args)
     if args.set:
-        strategies = _parse_strategy_list(args.set)
         ext = build_extended_game(game, strategies, mode=args.mode)
     else:
-        if not args.cls:
-            raise InputError("provide --class (with parameters) or --set")
-        params = _class_params(args)
-        strategies = strategy_set(params)
-        ext = extension_matrix(params, game)
-        if args.mode == "float":
-            ext = _floatify_game(ext)
+        ext = extension_matrix(_class_params(args), game)
+        field = Field.of((v for row in ext.payoffs for cell in row for v in cell),
+                         args.mode)
+        if args.mode == "exact" and not field.exact:
+            raise ExactnessError(
+                "the extension leaves Q(sqrt(2)) at these parameters; pass --mode float"
+            )
+        ext = ExtendedGame(ext.labels, tuple(
+            tuple(PayoffPair(*map(field.convert, cell)) for cell in row)
+            for row in ext.payoffs
+        ))
     if args.oracle_check:
         _oracle_check_extension(game, strategies, ext)
     return ext
@@ -180,40 +186,18 @@ def cmd_enumerate(args) -> int:
     return 0
 
 
-def _load_any_game(spec: str) -> dict:
-    text = spec.strip()
-    if not text.startswith("{"):
-        try:
-            with open(text, "r", encoding="utf-8") as fh:
-                text = fh.read()
-        except OSError as exc:
-            raise InputError(f"cannot read game file {spec!r}: {exc}") from exc
-    try:
-        return json.loads(text)
-    except ValueError as exc:
-        raise InputError(f"malformed game JSON: {exc}") from exc
-
-
 def cmd_equilibria(args) -> int:
-    raw = _load_any_game(args.game)
-    pre_extended = "labels" in raw
-    if args.extend_first:
-        if pre_extended:
-            raise InputError("--extend-first needs a classical 2x2 game")
-        game = _load_game(json.dumps(raw), args.mode)
-        ext = _build_extension(args, game)
-    elif args.set or args.cls:
+    if (args.set or args.cls) and not args.extend_first:
         raise InputError("--class/--set require --extend-first")
-    elif pre_extended:
-        try:
-            ext = ExtendedGame.from_json(raw)
-        except (KeyError, ValueError, TypeError) as exc:
-            raise InputError(f"malformed extended game: {exc}") from exc
+    game = _load_game(args.game, args.mode, extended=True)
+    if isinstance(game, ExtendedGame):
+        if args.extend_first:
+            raise InputError("--extend-first needs a classical 2x2 game")
+        ext = game
+    elif args.extend_first:
+        ext = _build_extension(args, game)
     else:
-        game = _load_game(json.dumps(raw), args.mode)
-        labels = ("s1", "s2")
-        grid = tuple(tuple(game.delta[i][j] for j in range(2)) for i in range(2))
-        ext = ExtendedGame(labels, grid)
+        ext = ExtendedGame(("s1", "s2"), game.delta)
     report = mixed_equilibria(ext, mode=args.mode)
     for eq in report.equilibria:
         if not verify_equilibrium(ext, eq):
@@ -232,12 +216,10 @@ def cmd_equilibria(args) -> int:
     elif args.format == "pretty":
         lines = []
         for eq in report.equilibria:
-            p1 = ", ".join(f"{l}: {format_scalar(v)}"
-                           for l, v in zip(ext.labels, eq.profile.p1)
-                           if not _is_zero(v))
-            p2 = ", ".join(f"{l}: {format_scalar(v)}"
-                           for l, v in zip(ext.labels, eq.profile.p2)
-                           if not _is_zero(v))
+            p1 = ", ".join(f"{ext.labels[i]}: {format_scalar(eq.profile.p1[i])}"
+                           for i in eq.supports[0])
+            p2 = ", ".join(f"{ext.labels[j]}: {format_scalar(eq.profile.p2[j])}"
+                           for j in eq.supports[1])
             lines.append(f"{eq.kind}: payoff ({format_scalar(eq.payoff.u1)}, "
                          f"{format_scalar(eq.payoff.u2)})  p1 = [{p1}]  p2 = [{p2}]")
         _emit(args, "\n".join(lines) if lines else "no equilibria found")
@@ -246,17 +228,10 @@ def cmd_equilibria(args) -> int:
     return 0
 
 
-def _is_zero(v) -> bool:
-    return float(v) == 0.0
-
-
 def cmd_payoff(args) -> int:
     game = _load_game(args.game, args.mode)
     try:
-        p1 = StrategyParams.from_json(json.loads(args.p1)) if args.p1.strip().startswith(
-            ("{", "[")) else _triple_from_text(args.p1)
-        p2 = StrategyParams.from_json(json.loads(args.p2)) if args.p2.strip().startswith(
-            ("{", "[")) else _triple_from_text(args.p2)
+        p1, p2 = _strategy_from_text(args.p1), _strategy_from_text(args.p2)
     except (ValueError, KeyError, TypeError) as exc:
         raise InputError(f"malformed strategy params: {exc}") from exc
     pay = payoff_closed_form(game, p1, p2, mode=args.mode)
@@ -277,7 +252,10 @@ def cmd_payoff(args) -> int:
     return 0
 
 
-def _triple_from_text(text: str) -> StrategyParams:
+def _strategy_from_text(text: str) -> StrategyParams:
+    """A JSON triple or object, or 'theta,alpha,beta'."""
+    if text.strip().startswith(("{", "[")):
+        return StrategyParams.from_json(json.loads(text))
     parts = [p.strip() for p in text.split(",")]
     if len(parts) != 3:
         raise InputError(

@@ -157,6 +157,11 @@ class Q2:
         return f"{self.a}{sep}{abs(self.b)}*sqrt(2)"
 
 
+def normalize(x):
+    """A rational Q2 as its Fraction; any other scalar unchanged."""
+    return x.a if isinstance(x, Q2) and x.b == 0 else x
+
+
 Q2_ZERO = Q2(0)
 Q2_ONE = Q2(1)
 Q2_HALF_SQRT2 = Q2(0, _HALF)  # sqrt(2)/2 == cos(pi/4)

@@ -16,7 +16,7 @@ from fractions import Fraction
 from typing import List, Sequence, Tuple
 
 from .errors import ExactnessError, InvalidClassParams, NotDiscreteError
-from .exactnum import Angle, exact_cos
+from .exactnum import Angle, exact_cos, normalize
 from .invariance import ExtendedGame, _block_matrix, default_labels
 from .payoff import Bimatrix2
 from .su2 import IDENTITY, IX, StrategyParams, canonicalize
@@ -297,10 +297,8 @@ def _blocks(p: ClassParams):
         a = b = None
         if phase.is_exact:
             try:
-                a = (1 + exact_cos(2 * phase.frac)) * _HALF  # cos^2
-                b = (1 + exact_cos(4 * phase.frac)) * _HALF  # cos^2, doubled angle
-                a = a.as_fraction() if a.is_rational else a
-                b = b.as_fraction() if b.is_rational else b
+                a = normalize((1 + exact_cos(2 * phase.frac)) * _HALF)  # cos^2
+                b = normalize((1 + exact_cos(4 * phase.frac)) * _HALF)  # doubled angle
             except ExactnessError:
                 a = b = None
         if a is None:

@@ -10,9 +10,12 @@ from fractions import Fraction
 from itertools import permutations
 from typing import List, Optional, Sequence, Tuple
 
-from .equivalence import FLOAT_TOL, _rows_close, coefficient_row
+import numpy as np
+
+from .equivalence import EXACT, FLOAT_TOL, Field, _group_rows, coefficient_row
 from .errors import DimensionMismatchError
-from .payoff import Bimatrix2, PayoffPair, format_scalar, payoff_closed_form
+from .exactnum import normalize
+from .payoff import Bimatrix2, PayoffPair, format_scalar, parse_scalar, payoff_closed_form
 from .su2 import StrategyParams, phi
 
 
@@ -73,8 +76,6 @@ class ExtendedGame:
 
     @staticmethod
     def from_json(obj) -> "ExtendedGame":
-        from .payoff import parse_scalar
-
         grid = tuple(
             tuple(PayoffPair(parse_scalar(a), parse_scalar(b)) for a, b in row)
             for row in obj["payoffs"]
@@ -119,10 +120,6 @@ def default_labels(n: int) -> Tuple[str, ...]:
 # -- strong isomorphism -------------------------------------------------------
 
 
-def _pair_key(p: PayoffPair):
-    return (float(p.u1), float(p.u2))
-
-
 def strongly_isomorphic(g1: ExtendedGame, g2: ExtendedGame,
                         tol: float = 0.0) -> Optional[Tuple[Tuple[int, ...], Tuple[int, ...]]]:
     """Search for per-player bijections making all payoffs agree.
@@ -132,55 +129,38 @@ def strongly_isomorphic(g1: ExtendedGame, g2: ExtendedGame,
     or None.  Player exchange is not searched: the row/column/double swap
     variants never exchange players.  Exhaustive over n! x n! permutation
     pairs with multiset pruning; exactness matters more than speed at n <= 6.
+
+    With tol > 0 payoffs agree within tol: the payoffs of both games are
+    interned by Field(tol).intern, which raises ToleranceError when some
+    two payoffs differ by more than tol/100 and less than 100 tol, rather
+    than give a verdict that hangs on rounding.
     """
     n = g1.n
     if g2.n != n:
         raise DimensionMismatchError(f"cannot compare {n}x{n} with {g2.n}x{g2.n}")
-
-    if tol > 0.0:
-        def eq(p, q):
-            return (abs(float(p.u1) - float(q.u1)) <= tol
-                    and abs(float(p.u2) - float(q.u2)) <= tol)
-    else:
-        def eq(p, q):
-            return p.u1 == q.u1 and p.u2 == q.u2
+    field = Field(tol) if tol > 0.0 else EXACT
+    ids = field.intern([v for g in (g1, g2) for row in g.payoffs for p in row for v in p])
+    ids = ids.astype(np.int64).reshape(2, n, n, 2)
+    a, b = (ids[..., 0] * (ids.max() + 1) + ids[..., 1]).tolist()  # one id per cell
 
     # Rows can only map to rows with the same payoff multiset (and likewise
-    # for columns); with tol == 0 this prunes most of the n! candidates.
-    def row_sig(g, i):
-        return tuple(sorted(_pair_key(p) for p in g.payoffs[i]))
+    # for columns); this prunes most of the n! candidates.
+    def signatures(grid):
+        return ([tuple(sorted(row)) for row in grid],
+                [tuple(sorted(col)) for col in zip(*grid)])
 
-    def col_sig(g, j):
-        return tuple(sorted(_pair_key(g.payoffs[i][j]) for i in range(g.n)))
-
-    if tol == 0.0:
-        sig1r = [row_sig(g1, i) for i in range(n)]
-        sig2r = [row_sig(g2, i) for i in range(n)]
-        sig1c = [col_sig(g1, j) for j in range(n)]
-        sig2c = [col_sig(g2, j) for j in range(n)]
-        if sorted(sig1r) != sorted(sig2r) or sorted(sig1c) != sorted(sig2c):
-            return None
-        row_candidates = [
-            [k for k in range(n) if sig2r[k] == sig1r[i]] for i in range(n)
-        ]
-        col_candidates = [
-            [k for k in range(n) if sig2c[k] == sig1c[j]] for j in range(n)
-        ]
-    else:
-        row_candidates = [list(range(n))] * n
-        col_candidates = [list(range(n))] * n
-
+    (sig1r, sig1c), (sig2r, sig2c) = signatures(a), signatures(b)
+    if sorted(sig1r) != sorted(sig2r) or sorted(sig1c) != sorted(sig2c):
+        return None
+    row_candidates = [[k for k in range(n) if sig2r[k] == s] for s in sig1r]
+    col_candidates = [[k for k in range(n) if sig2c[k] == s] for s in sig1c]
     for rp in permutations(range(n)):
         if any(rp[i] not in row_candidates[i] for i in range(n)):
             continue
         for cp in permutations(range(n)):
             if any(cp[j] not in col_candidates[j] for j in range(n)):
                 continue
-            if all(
-                eq(g2.payoffs[rp[i]][cp[j]], g1.payoffs[i][j])
-                for i in range(n)
-                for j in range(n)
-            ):
+            if all(b[rp[i]][cp[j]] == a[i][j] for i in range(n) for j in range(n)):
                 return rp, cp
     return None
 
@@ -214,43 +194,13 @@ def criterion_holds(strategies: Sequence[StrategyParams], mode: str = "auto",
     """
     rows = [coefficient_row(s, strategies, mode=mode) for s in strategies]
     phi_rows = [coefficient_row(phi(s), strategies, mode=mode) for s in strategies]
-    exact = all(
-        all(not isinstance(x, float) for v in row for x in v)
-        for row in rows + phi_rows
+    field = Field.of((x for row in rows + phi_rows for v in row for x in v), mode, tol)
+    classes = _group_rows(rows, field)
+    image = tuple(
+        next((k for k, cls in enumerate(classes)
+              if field.rows_equal(phi_row, rows[cls[0]])), -1)
+        for phi_row in phi_rows
     )
-    n = len(strategies)
-    if exact:
-        groups: dict = {}
-        for i, row in enumerate(rows):
-            groups.setdefault(row, []).append(i)
-        classes = sorted(tuple(g) for g in groups.values())
-        row_to_class = {rows[cls[0]]: k for k, cls in enumerate(classes)}
-        image = tuple(row_to_class.get(row, -1) for row in phi_rows)
-    else:
-        parent = list(range(n))
-
-        def find(i):
-            while parent[i] != i:
-                parent[i] = parent[parent[i]]
-                i = parent[i]
-            return i
-
-        for i in range(n):
-            for j in range(i + 1, n):
-                if _rows_close(rows[i], rows[j], tol):
-                    parent[find(i)] = find(j)
-        groups = {}
-        for i in range(n):
-            groups.setdefault(find(i), []).append(i)
-        classes = sorted(tuple(g) for g in groups.values())
-        image = tuple(
-            next(
-                (k for k, cls in enumerate(classes)
-                 if _rows_close(phi_row, rows[cls[0]], tol)),
-                -1,
-            )
-            for phi_row in phi_rows
-        )
     covered = {k for k in image if k >= 0}
     holds = all(k >= 0 for k in image) and covered == set(range(len(classes)))
     return CriterionReport(holds, tuple(classes), image)
@@ -328,7 +278,7 @@ def _block_matrix(game: Bimatrix2, blocks) -> List[List[PayoffPair]]:
             for j in range(2):
                 u1 = sum(k * variants[m].delta[i][j].u1 for m, k in enumerate(coeffs))
                 u2 = sum(k * variants[m].delta[i][j].u2 for m, k in enumerate(coeffs))
-                grid[r0 + i][c0 + j] = PayoffPair(u1, u2)
+                grid[r0 + i][c0 + j] = PayoffPair(normalize(u1), normalize(u2))
     return grid
 
 

@@ -10,70 +10,51 @@ matters more here than speed: the games of interest are 4x4.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from itertools import combinations
 from typing import List, Optional, Sequence, Tuple
 
+from .equivalence import EXACT, Field
 from .errors import DimensionMismatchError, ExactnessError
-from .exactnum import Q2
+from .exactnum import normalize
 from .invariance import ExtendedGame
-from .payoff import PayoffPair, format_scalar, scalar_is_exact
+from .payoff import PayoffPair, format_scalar
 
 DEVIATION_TOL = 1e-9
+PIVOT_TOL = 1e-12  # float elimination: pivots and zeros at most this vanish
+SUM_TOL = 1e-9  # float probabilities must sum to 1 within this
 
 
 # -- linear systems over an exact field or floats ------------------------------
 
 
-def solve_linear(a_rows: List[List], rhs: List, exact: bool):
-    """Gauss-Jordan solve of A x = b.
+def solve_linear(a_rows: List[List], rhs: List, field: Field):
+    """Gauss-Jordan solve of A x = b, with field's zero test and pivot rule.
 
     Returns (status, x): status 'unique', 'many' (x is the particular
     solution with free variables zero) or 'none' (x is None).
     """
     m, n = len(a_rows), len(a_rows[0])
     rows = [list(r) + [v] for r, v in zip(a_rows, rhs)]
-    if exact:
-        def is_zero(x):
-            return x == 0
-    else:
-        def is_zero(x):
-            return abs(x) <= 1e-12
-
     pivots = []
     r = 0
     for c in range(n):
         if r == m:
             break
-        piv = None
-        if exact:
-            for i in range(r, m):
-                if not is_zero(rows[i][c]):
-                    piv = i
-                    break
-        else:
-            best = 0.0
-            for i in range(r, m):
-                if abs(rows[i][c]) > best:
-                    best, piv = abs(rows[i][c]), i
-            if best <= 1e-12:
-                piv = None
+        piv = field.pivot([rows[i][c] for i in range(r, m)])
         if piv is None:
             continue
-        rows[r], rows[piv] = rows[piv], rows[r]
+        rows[r], rows[r + piv] = rows[r + piv], rows[r]
         scale = rows[r][c]
         rows[r] = [x / scale for x in rows[r]]
         for i in range(m):
-            if i != r and not is_zero(rows[i][c]):
+            if i != r and not field.is_zero(rows[i][c]):
                 f = rows[i][c]
                 rows[i] = [x - f * y for x, y in zip(rows[i], rows[r])]
         pivots.append(c)
         r += 1
-    for i in range(r, m):
-        if not is_zero(rows[i][n]):
-            return "none", None
-    zero = Fraction(0) if exact else 0.0
-    x = [zero] * n
+    if any(not field.is_zero(rows[i][n]) for i in range(r, m)):
+        return "none", None
+    x = [field.zero] * n
     for k, c in enumerate(pivots):
         x[c] = rows[k][n]
     return ("unique" if len(pivots) == n else "many"), x
@@ -89,13 +70,8 @@ class MixedProfile:
 
     def support(self, side: int) -> Tuple[int, ...]:
         probs = self.p1 if side == 0 else self.p2
-        return tuple(i for i, v in enumerate(probs) if not _is_zero_prob(v))
-
-
-def _is_zero_prob(v) -> bool:
-    if isinstance(v, float):
-        return abs(v) <= 1e-12
-    return v == 0
+        field = Field.of(probs, tol=PIVOT_TOL)
+        return tuple(i for i, v in enumerate(probs) if not field.is_zero(v))
 
 
 @dataclass(frozen=True)
@@ -134,18 +110,10 @@ class EquilibriumReport:
 # -- equilibrium computations ------------------------------------------------------
 
 
-def _payoff_grids(g: ExtendedGame):
-    # plain ints are promoted so that exact elimination never hits int/int
-    def norm(v):
-        return Fraction(v) if isinstance(v, int) else v
-
-    u1 = [[norm(cell.u1) for cell in row] for row in g.payoffs]
-    u2 = [[norm(cell.u2) for cell in row] for row in g.payoffs]
+def _payoff_grids(g: ExtendedGame, field: Field):
+    u1 = [[field.convert(cell.u1) for cell in row] for row in g.payoffs]
+    u2 = [[field.convert(cell.u2) for cell in row] for row in g.payoffs]
     return u1, u2
-
-
-def _grid_exact(u1, u2) -> bool:
-    return all(scalar_is_exact(v) for row in u1 + u2 for v in row)
 
 
 def pure_equilibria(g: ExtendedGame, tol: float = 0.0) -> List[Tuple[int, int]]:
@@ -153,69 +121,60 @@ def pure_equilibria(g: ExtendedGame, tol: float = 0.0) -> List[Tuple[int, int]]:
 
     Ties are included.  With tol = 0 comparisons are exact.
     """
-    u1, u2 = _payoff_grids(g)
+    field = Field(tol) if tol > 0.0 else EXACT
+    u1, u2 = _payoff_grids(g, field)
     n = g.n
     out = []
     for i in range(n):
         for j in range(n):
             col_max = max(u1[k][j] for k in range(n))
             row_max = max(u2[i][k] for k in range(n))
-            if tol > 0.0:
-                ok = (float(u1[i][j]) >= float(col_max) - tol
-                      and float(u2[i][j]) >= float(row_max) - tol)
-            else:
-                ok = u1[i][j] == col_max and u2[i][j] == row_max
-            if ok:
+            if not (field.exceeds(col_max, u1[i][j]) or field.exceeds(row_max, u2[i][j])):
                 out.append((i, j))
     return out
 
 
 def best_response_values(g: ExtendedGame, opponent_mix: Sequence, side: str = "row"):
-    """Expected payoff of each own pure strategy against the opponent's mix."""
-    u1, u2 = _payoff_grids(g)
+    """Expected payoff of each own pure strategy against the opponent's mix,
+    in floats when the game or the mix has a float entry."""
     n = g.n
     if len(opponent_mix) != n:
         raise DimensionMismatchError(
             f"opponent mix has {len(opponent_mix)} entries for a {n}x{n} game"
         )
+    field = Field.of([*opponent_mix, *(v for row in g.payoffs for p in row for v in p)])
+    u1, u2 = _payoff_grids(g, field)
+    mix = [field.convert(p) for p in opponent_mix]
     if side == "row":
-        return [sum(u1[i][j] * opponent_mix[j] for j in range(n)) for i in range(n)]
+        return [sum(u1[i][j] * mix[j] for j in range(n)) for i in range(n)]
     if side == "col":
-        return [sum(u2[i][j] * opponent_mix[i] for i in range(n)) for j in range(n)]
+        return [sum(u2[i][j] * mix[i] for i in range(n)) for j in range(n)]
     raise ValueError(f"side must be 'row' or 'col', got {side!r}")
 
 
-def _indifference_solution(values, support, other_support, exact, tol):
+def _indifference_solution(values, support, other_support, linear, field):
     """Opponent mix over `support` making every strategy in `other_support`
     indifferent, plus that common value; None when infeasible.
 
     `values[r][c]` is the optimizing player's payoff, rows = their own
-    strategies, columns = the mixing opponent's strategies.
+    strategies, columns = the mixing opponent's strategies.  The system is
+    solved in `linear`; feasibility is judged in `field`.
     """
-    k = len(support)
-    zero = Fraction(0) if exact else 0.0
-    one = Fraction(1) if exact else 1.0
-    a_rows = []
-    rhs = []
-    for r in other_support:
-        a_rows.append([values[r][c] for c in support] + [-one])
-        rhs.append(zero)
-    a_rows.append([one] * k + [zero])
-    rhs.append(one)
-    status, x = solve_linear(a_rows, rhs, exact)
+    zero, one = field.zero, field.one
+    a_rows = [[values[r][c] for c in support] + [-one] for r in other_support]
+    a_rows.append([one] * len(support) + [zero])
+    rhs = [zero] * len(other_support) + [one]
+    status, x = solve_linear(a_rows, rhs, linear)
     if status == "none":
         return None, False
-    probs, v = x[:k], x[k]
+    probs, v = x[:-1], x[-1]
     degenerate = status == "many"
-    if exact:
-        if any(p < 0 for p in probs):
-            return None, degenerate
-    else:
-        if any(p < -tol for p in probs):
-            return None, degenerate
+    if any(field.exceeds(zero, p) for p in probs):
+        return None, degenerate
+    if not field.exact:  # clip rounding noise below zero, then renormalise
         probs = [max(p, 0.0) for p in probs]
         total = sum(probs)
-        if abs(total - 1.0) > 1e-9:
+        if abs(total - 1.0) > SUM_TOL:
             return None, degenerate
         probs = [p / total for p in probs]
     return (probs, v), degenerate
@@ -228,17 +187,20 @@ def mixed_equilibria(g: ExtendedGame, mode: str = "auto",
     Pure equilibria appear as singleton supports.  Support pairs whose
     indifference system is singular but solvable are flagged degenerate;
     one member of the family is sampled, the family is not enumerated.
+    The arithmetic is exact when mode is not 'float' and every entry is
+    exact, else float: elimination at PIVOT_TOL, deviations at tol.
     """
-    u1, u2 = _payoff_grids(g)
     n = g.n
     if n > 6:
         raise DimensionMismatchError(
             f"support enumeration is limited to 6 strategies per side, got {n}"
         )
-    exact = mode != "float" and _grid_exact(u1, u2)
-    if mode == "exact" and not exact:
+    linear = Field.of((v for row in g.payoffs for cell in row for v in cell),
+                      mode, PIVOT_TOL)
+    if mode == "exact" and not linear.exact:
         raise ExactnessError("exact mode requires exact game entries")
-    zero = Fraction(0) if exact else 0.0
+    field = linear if linear.exact else Field(tol)
+    u1, u2 = _payoff_grids(g, linear)
 
     found = {}
     degenerate_supports = []
@@ -249,41 +211,41 @@ def mixed_equilibria(g: ExtendedGame, mode: str = "auto",
     for rows_supp in all_supports:
         for cols_supp in all_supports:
             # player 2's mix over cols_supp makes rows_supp indifferent
-            q_sol, q_deg = _indifference_solution(u1, cols_supp, rows_supp, exact, tol)
+            q_sol, q_deg = _indifference_solution(u1, cols_supp, rows_supp, linear, field)
             if q_sol is None:
                 continue
             # player 1's mix over rows_supp makes cols_supp indifferent
-            p_sol, p_deg = _indifference_solution(u2_t, rows_supp, cols_supp, exact, tol)
+            p_sol, p_deg = _indifference_solution(u2_t, rows_supp, cols_supp, linear, field)
             if p_sol is None:
                 continue
             q_probs, v1 = q_sol
             p_probs, v2 = p_sol
-            q_full = [zero] * n
+            q_full = [field.zero] * n
             for c, pr in zip(cols_supp, q_probs):
                 q_full[c] = pr
-            p_full = [zero] * n
+            p_full = [field.zero] * n
             for r, pr in zip(rows_supp, p_probs):
                 p_full[r] = pr
             if not _best_response_ok(u1, u2, p_full, q_full, v1, v2,
-                                     rows_supp, cols_supp, exact, tol):
+                                     rows_supp, cols_supp, field):
                 continue
             # An underdetermined system that nevertheless produced an
             # equilibrium with full support on the candidate sets evidences
             # a solution family: record the sample, do not enumerate.
             if (q_deg or p_deg) and all(
-                not _is_zero_prob(q_full[c]) for c in cols_supp
-            ) and all(not _is_zero_prob(p_full[r]) for r in rows_supp):
+                not linear.is_zero(q_full[c]) for c in cols_supp
+            ) and all(not linear.is_zero(p_full[r]) for r in rows_supp):
                 degenerate_supports.append((rows_supp, cols_supp))
-            key = _profile_key(p_full, q_full, exact)
+            key = tuple(map(field.key, p_full + q_full))
             if key not in found:
                 supports = (
-                    tuple(i for i in range(n) if not _is_zero_prob(p_full[i])),
-                    tuple(j for j in range(n) if not _is_zero_prob(q_full[j])),
+                    tuple(i for i in range(n) if not linear.is_zero(p_full[i])),
+                    tuple(j for j in range(n) if not linear.is_zero(q_full[j])),
                 )
                 kind = "pure" if len(supports[0]) == 1 and len(supports[1]) == 1 else "mixed"
                 found[key] = Equilibrium(
                     MixedProfile(tuple(p_full), tuple(q_full)),
-                    PayoffPair(_normalize_scalar(v1), _normalize_scalar(v2)),
+                    PayoffPair(normalize(v1), normalize(v2)),
                     kind,
                     supports,
                 )
@@ -293,59 +255,32 @@ def mixed_equilibria(g: ExtendedGame, mode: str = "auto",
                        tuple(float(v) for v in e.profile.p2)),
     )
     degenerate = bool(degenerate_supports) or any(
-        _excess_best_responses(u1, u2, e, exact, tol) for e in ordered
+        _excess_best_responses(u1, u2, e, field) for e in ordered
     )
     return EquilibriumReport(tuple(ordered), degenerate, tuple(degenerate_supports))
 
 
-def _normalize_scalar(v):
-    if isinstance(v, Q2) and v.is_rational:
-        return v.as_fraction()
-    return v
-
-
-def _excess_best_responses(u1, u2, eq: "Equilibrium", exact, tol) -> bool:
+def _excess_best_responses(u1, u2, eq: "Equilibrium", field) -> bool:
     """Degeneracy test: a mix with more pure best responses than its
     opponent's support size signals an equilibrium family."""
     n = len(eq.profile.p1)
     vals1 = [sum(u1[i][j] * eq.profile.p2[j] for j in range(n)) for i in range(n)]
     vals2 = [sum(u2[i][j] * eq.profile.p1[i] for i in range(n)) for j in range(n)]
-    if exact:
-        br1 = sum(1 for v in vals1 if v == max(vals1))
-        br2 = sum(1 for v in vals2 if v == max(vals2))
-    else:
-        m1, m2 = max(map(float, vals1)), max(map(float, vals2))
-        br1 = sum(1 for v in vals1 if float(v) >= m1 - tol)
-        br2 = sum(1 for v in vals2 if float(v) >= m2 - tol)
+    m1, m2 = max(vals1), max(vals2)
+    br1 = sum(1 for v in vals1 if not field.exceeds(m1, v))
+    br2 = sum(1 for v in vals2 if not field.exceeds(m2, v))
     return br1 > len(eq.supports[1]) or br2 > len(eq.supports[0])
 
 
-def _profile_key(p_full, q_full, exact):
-    if exact:
-        return tuple(p_full), tuple(q_full)
-    return tuple(round(float(v), 9) for v in p_full + q_full)
-
-
-def _best_response_ok(u1, u2, p_full, q_full, v1, v2, rows_supp, cols_supp,
-                      exact, tol):
+def _best_response_ok(u1, u2, p_full, q_full, v1, v2, rows_supp, cols_supp, field):
     n = len(p_full)
     for r in range(n):
-        if r in rows_supp:
-            continue
-        val = sum(u1[r][j] * q_full[j] for j in range(n))
-        if exact:
-            if val > v1:
-                return False
-        elif float(val) > float(v1) + tol:
+        if r not in rows_supp and field.exceeds(
+                sum(u1[r][j] * q_full[j] for j in range(n)), v1):
             return False
     for c in range(n):
-        if c in cols_supp:
-            continue
-        val = sum(u2[i][c] * p_full[i] for i in range(n))
-        if exact:
-            if val > v2:
-                return False
-        elif float(val) > float(v2) + tol:
+        if c not in cols_supp and field.exceeds(
+                sum(u2[i][c] * p_full[i] for i in range(n)), v2):
             return False
     return True
 

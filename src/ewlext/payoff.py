@@ -18,7 +18,7 @@ from typing import NamedTuple, Tuple, Union
 import numpy as np
 
 from .errors import DimensionMismatchError, DomainError, ExactnessError
-from .exactnum import Q2, exact_cos, exact_sin
+from .exactnum import Q2, exact_cos, exact_sin, normalize
 from .su2 import StrategyParams, build_unitary
 
 Scalar = Union[Fraction, Q2, float, int]
@@ -73,11 +73,9 @@ def parse_scalar(x) -> Scalar:
 
 def format_scalar(x: Scalar) -> Union[str, float]:
     """JSON form of a payoff entry: exact string or float."""
+    x = normalize(x)
     if isinstance(x, Q2):
-        if x.is_rational:
-            x = x.as_fraction()
-        else:
-            return f"{x.a}+{x.b}*sqrt(2)" if x.b > 0 else f"{x.a}{x.b}*sqrt(2)"
+        return f"{x.a}+{x.b}*sqrt(2)" if x.b > 0 else f"{x.a}{x.b}*sqrt(2)"
     if isinstance(x, (int, Fraction)):
         return str(Fraction(x))
     return float(x)
@@ -236,11 +234,7 @@ def _combine(game: Bimatrix2, c: CoefficientVector) -> PayoffPair:
     if exact:
         u1 = sum((Q2.coerce(k) * p.u1 for k, p in zip(c, cells)), Q2(0))
         u2 = sum((Q2.coerce(k) * p.u2 for k, p in zip(c, cells)), Q2(0))
-        if u1.is_rational:
-            u1 = u1.as_fraction()
-        if u2.is_rational:
-            u2 = u2.as_fraction()
-        return PayoffPair(u1, u2)
+        return PayoffPair(normalize(u1), normalize(u2))
     u1 = sum(float(k) * float(p.u1) for k, p in zip(c, cells))
     u2 = sum(float(k) * float(p.u2) for k, p in zip(c, cells))
     return PayoffPair(u1, u2)

@@ -42,8 +42,8 @@ from typing import Dict, Iterator, List, Tuple
 
 import numpy as np
 
-from .equivalence import FLOAT_TOL
-from .errors import DomainError, ExactnessError, ToleranceError
+from .equivalence import EXACT, FLOAT_TOL, Field
+from .errors import DomainError, ExactnessError
 from .exactnum import Angle
 from .payoff import coefficients
 from .su2 import canonicalize
@@ -165,41 +165,6 @@ def lattice_phi(theta: Fraction, a, b, n: int):
     return 1 - theta, -b % n, (n // 2 - a) % n
 
 
-def _intern_exact(values) -> np.ndarray:
-    """Ids of exact values: equal ids mean equal values."""
-    ids: Dict[object, int] = {}
-    return np.array([ids.setdefault(v, len(ids)) for v in values], dtype=np.int32)
-
-
-def _intern_float(values, tol: float = FLOAT_TOL) -> np.ndarray:
-    """Ids of float values: equal ids mean values within tol.
-
-    The sorted values start a new id at every gap wider than tol.  That is
-    closeness at tol only if every cluster is much narrower than tol and
-    every gap much wider, so ToleranceError is raised unless each cluster
-    spans at most tol/100 and each gap is at least 100 tol.
-    """
-    values = np.asarray(values, dtype=np.float64)
-    if not np.isfinite(values).all():
-        raise ToleranceError("coefficient values must be finite")
-    order = np.argsort(values)
-    ordered = values[order]
-    steps = np.diff(ordered)
-    breaks = steps > tol
-    starts = np.flatnonzero(np.r_[True, breaks])
-    ends = np.r_[starts[1:], len(ordered)] - 1
-    width = (ordered[ends] - ordered[starts]).max()
-    gap = steps[breaks].min(initial=np.inf)
-    if width > tol / 100 or gap < 100 * tol:
-        raise ToleranceError(
-            f"float coefficients do not separate at tol = {tol:g}: "
-            f"widest cluster {width:.3g}, narrowest gap {gap:.3g}"
-        )
-    ids = np.empty(len(values), dtype=np.int32)
-    ids[order] = np.r_[0, np.cumsum(breaks)]
-    return ids
-
-
 def _coefficient_tables(thetas: List[Fraction], n: int, mode: str):
     """Interned coefficient ids for every theta pair on the n-point phase lattice.
 
@@ -210,20 +175,20 @@ def _coefficient_tables(thetas: List[Fraction], n: int, mode: str):
     uv[p, o, x, -y], the id of (c01, c10).  The vectors come from
     payoff.coefficients in the given mode.  'exact' interns Q(sqrt(2))
     values, so equal ids mean equal pairs; 'float' clusters doubles with
-    _intern_float, so equal ids mean pairs within FLOAT_TOL componentwise.
+    Field.intern, so equal ids mean pairs within FLOAT_TOL componentwise.
     """
+    field = EXACT if mode == "exact" else Field(FLOAT_TOL)
     step = Fraction(2, n)
     opponents = [canonicalize(t, 0, 0) for t in thetas]
     values = np.empty((len(thetas), len(thetas), n, n, 4),
-                      dtype=object if mode == "exact" else np.float64)
+                      dtype=object if field.exact else np.float64)
     for p, tp in enumerate(thetas):
         for m in range(n):
             for k in range(n):
                 player = canonicalize(tp, m * step, k * step)
                 for o, opponent in enumerate(opponents):
                     values[p, o, m, k] = coefficients(player, opponent, mode=mode)
-    intern = _intern_exact if mode == "exact" else _intern_float
-    ids = intern(values.ravel()).reshape(values.shape).astype(np.int64)
+    ids = field.intern(values.ravel()).reshape(values.shape).astype(np.int64)
     size = ids.max() + 1
 
     def pair_ids(i, j):  # one compact id per pair of component ids

@@ -285,3 +285,49 @@ def test_payoff_non_finite_float_entry_is_input_error(capsys, entry):
     assert out == ""
     assert err.startswith("error: payoff entry ") and err.count("\n") == 1
     assert err.rstrip().endswith("is not finite")
+
+
+def test_extend_empty_set_is_input_error(capsys, pd_file):
+    code, out, err = run(capsys, "extend", "--set", "[]", "--game", pd_file)
+    assert code == 2
+    assert out == ""
+    assert err == "error: strategy set must be nonempty\n"
+
+
+def test_inline_json_list_game_is_malformed_not_a_file(capsys):
+    code, out, err = run(capsys, "extend", "--class", "B",
+                         "--game", "[[[3, 3], [0, 5]], [[5, 0], [1, 1]]]")
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: malformed game JSON") and "cannot read" not in err
+
+
+def test_extend_exact_mode_refuses_entries_outside_q_sqrt2(capsys, pd_file):
+    argv = ("extend", "--class", "C", "--theta1", "1/6 pi", "--game", pd_file)
+    code, out, err = run(capsys, *argv)
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: ") and "--mode float" in err
+    code, out, _ = run(capsys, *argv, "--mode", "float")
+    assert code == 0
+    assert isinstance(json.loads(out)["payoffs"][2][3][0], float)
+
+
+def test_float_verify_refuses_payoffs_within_the_guard_band(capsys):
+    # one payoff 3e-9 from another: neither clearly equal nor distinct at 1e-9
+    game = '{"payoffs": [[[3, 3], [0, 5]], [[5, 0], [1, 1.000000003]]]}'
+    code, out, err = run(capsys, "verify", "--class", "C", "--theta1", "1/3 pi",
+                         "--mode", "float", "--game", game)
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: float values do not separate at tol = 1e-09")
+
+
+def test_float_equilibria_of_a_pre_extended_q_sqrt2_game(capsys, pd_file):
+    # the C(pi/4) extension has Q(sqrt(2)) entries; float mode converts them
+    code, ext, _ = run(capsys, "extend", "--class", "C", "--theta1", "1/4 pi",
+                       "--game", pd_file)
+    assert code == 0 and "sqrt(2)" in ext
+    code, out, _ = run(capsys, "equilibria", "--game", ext, "--mode", "float")
+    assert code == 0
+    assert all(isinstance(v, float) for e in json.loads(out) for v in e["p1"] + e["p2"])

@@ -1,3 +1,5 @@
+from fractions import Fraction
+
 import pytest
 
 from ewlext import (
@@ -8,6 +10,8 @@ from ewlext import (
     partition,
     payoff_closed_form,
 )
+from ewlext.equivalence import EXACT, Field
+from ewlext.exactnum import Q2
 from conftest import random_exact_pair, random_float_game, random_lattice_params
 
 U1_EX3 = canonicalize("1/2 pi", "1/2 pi", "1/2 pi")
@@ -115,3 +119,22 @@ def test_sampled_opponents_distinguish_finite_set_equivalence():
     own_set = [IDENTITY, IX, u1, u2]
     assert are_equivalent(phi(u1), u2, own_set)
     assert not are_equivalent(phi(u1), u2, sampled, tol=1e-10)
+
+
+def test_field_comparison_rules():
+    exact, approx = EXACT, Field(1e-9)
+    assert Field.of([Fraction(1, 2), Q2(0, 1), 3]) is EXACT
+    assert Field.of([Fraction(1, 2), 0.5], tol=1e-9) == approx
+    assert Field.of([Fraction(1, 2)], mode="float", tol=1e-9) == approx
+    assert (exact.zero, exact.one) == (0, 1) and isinstance(exact.zero, Fraction)
+    assert isinstance(approx.zero, float) and isinstance(approx.convert(Q2(1, 1)), float)
+    assert isinstance(exact.convert(3), Fraction) and exact.convert(Q2(1, 1)) == Q2(1, 1)
+    assert not exact.is_zero(Fraction(1, 10 ** 12)) and approx.is_zero(1e-10)
+    assert exact.exceeds(Fraction(1, 10 ** 12), 0) and not approx.exceeds(1e-10, 0.0)
+    assert approx.exceeds(1e-8, 0.0)
+    # pivot: the first nonzero entry when exact, the largest magnitude otherwise
+    assert exact.pivot([0, Fraction(1, 3), Fraction(5)]) == 1
+    assert approx.pivot([0.0, 1 / 3, -5.0]) == 2
+    assert exact.pivot([0, 0]) is None and approx.pivot([1e-10, -1e-10]) is None
+    assert approx.key(0.5) == approx.key(0.5 + 1e-12) != approx.key(0.5 + 2e-9)
+    assert list(exact.intern([Fraction(1, 2), 0.5, Q2(0, 1), Q2(1, 0)])) == [0, 0, 1, 2]

@@ -4,6 +4,7 @@ from fractions import Fraction
 import pytest
 
 from ewlext import Angle, DomainError, ExactnessError, Q2, exact_cos, exact_sin
+from ewlext.exactnum import normalize
 
 
 def test_q2_field_arithmetic():
@@ -85,3 +86,9 @@ def test_angle_arithmetic():
     assert f.mod_2pi().to_radians() == pytest.approx(math.pi)
     # mixed exact/float falls back to radians
     assert (a + f).to_radians() == pytest.approx(0.75 * math.pi + 3 * math.pi)
+
+
+def test_normalize_turns_rational_q2_into_fraction():
+    assert type(normalize(Q2(Fraction(3, 4)))) is Fraction
+    assert normalize(Q2(1, 1)) == Q2(1, 1)
+    assert normalize(0.5) == 0.5 and normalize(Fraction(1, 3)) == Fraction(1, 3)

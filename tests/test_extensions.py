@@ -237,3 +237,15 @@ def test_float_theta_accepted_for_t_classes():
     params = ClassParams.create("C", theta1=1.0471975511965976)  # ~pi/3
     ext = extension_matrix(params, PD)
     assert float(ext.payoffs[2][3].u1) == pytest.approx(57 / 16, abs=1e-9)
+
+
+@pytest.mark.parametrize("cid", list(ClassId))
+def test_both_constructions_give_equal_scalar_types(cid):
+    # rational entries are Fractions in both, never Q2 with a zero sqrt(2) part
+    params = ClassParams.create(cid)
+    ext = extension_matrix(params, PD)
+    built = build_extended_game(PD, strategy_set(params))
+    assert ext == built
+    for row_e, row_b in zip(ext.payoffs, built.payoffs):
+        for cell_e, cell_b in zip(row_e, row_b):
+            assert [type(v) for v in cell_e] == [type(v) for v in cell_b]

@@ -10,6 +10,7 @@ from ewlext import (
     IX,
     IsoVariant,
     PRISONERS_DILEMMA,
+    ToleranceError,
     build_extended_game,
     canonicalize,
     criterion_holds,
@@ -130,6 +131,43 @@ def test_strongly_isomorphic_is_equivalence(rng):
     for i in range(4):
         for j in range(4):
             assert g0.payoffs[inv_rp[i]][inv_cp[j]] == g1.payoffs[i][j]
+
+
+def test_float_strongly_isomorphic_prunes_and_finds_witnesses():
+    import random
+
+    r = random.Random(5)
+    n = 6
+    grid = tuple(tuple((r.uniform(-5, 5), r.uniform(-5, 5)) for _ in range(n))
+                 for _ in range(n))
+    g1 = ExtendedGame(tuple(f"s{i}" for i in range(n)), grid)
+    rp, cp = (3, 0, 5, 1, 4, 2), (1, 2, 0, 5, 3, 4)
+    moved = [[None] * n for _ in range(n)]
+    for i in range(n):
+        for j in range(n):
+            u1, u2 = grid[i][j]
+            moved[rp[i]][cp[j]] = (u1 + 1e-13, u2)  # rounding noise, far inside tol
+    g2 = ExtendedGame(g1.labels, tuple(map(tuple, moved)))
+    assert strongly_isomorphic(g1, g2, tol=1e-9) == (rp, cp)
+    assert strongly_isomorphic(g1, g2) is None  # exact: the noise counts
+    # a non-isomorphic pair of random 6x6 games: the signatures reject it
+    # without walking the 6! x 6! permutation pairs
+    other = ExtendedGame(g1.labels, tuple(
+        tuple((r.uniform(-5, 5), r.uniform(-5, 5)) for _ in range(n)) for _ in range(n)))
+    assert strongly_isomorphic(g1, other, tol=1e-9) is None
+
+
+def test_float_strongly_isomorphic_refuses_payoffs_near_tol():
+    # 3 tol apart: neither clearly equal nor clearly distinct at tol
+    g1 = ExtendedGame(("a", "b"), (((1.0, 0.0), (2.0, 0.0)), ((3.0, 0.0), (4.0, 0.0))))
+    g2 = ExtendedGame(("a", "b"), (((1.0, 0.0), (2.0, 0.0)), ((3.0, 0.0), (4.0 + 3e-9, 0.0))))
+    with pytest.raises(ToleranceError):
+        strongly_isomorphic(g1, g2, tol=1e-9)
+    assert strongly_isomorphic(g1, g2, tol=1e-6) == ((0, 1), (0, 1))
+    with pytest.raises(ToleranceError):
+        verify_invariance_end_to_end(
+            Bimatrix2.from_rows([[(3.0, 3.0), (0.0, 5.0)], [(5.0, 0.0), (1.0, 1.0 + 3e-9)]]),
+            B_SET, mode="float", tol=1e-9)
 
 
 def test_criterion_examples():

@@ -15,7 +15,8 @@ from ewlext import (
     pure_equilibria,
     verify_equilibrium,
 )
-from ewlext.nash import solve_linear
+from ewlext.equivalence import EXACT, Field
+from ewlext.nash import PIVOT_TOL, solve_linear
 from conftest import random_rational_game
 
 PD = PRISONERS_DILEMMA
@@ -32,24 +33,24 @@ def c_ext():
 
 
 def test_solve_linear_unique():
-    status, x = solve_linear([[F(2), F(1)], [F(1), F(-1)]], [F(3), F(0)], exact=True)
+    status, x = solve_linear([[F(2), F(1)], [F(1), F(-1)]], [F(3), F(0)], EXACT)
     assert status == "unique"
     assert x == [F(1), F(1)]
 
 
 def test_solve_linear_inconsistent():
-    status, x = solve_linear([[F(1), F(1)], [F(2), F(2)]], [F(1), F(3)], exact=True)
+    status, x = solve_linear([[F(1), F(1)], [F(2), F(2)]], [F(1), F(3)], EXACT)
     assert status == "none" and x is None
 
 
 def test_solve_linear_underdetermined():
-    status, x = solve_linear([[F(1), F(1), F(0)]], [F(1)], exact=True)
+    status, x = solve_linear([[F(1), F(1), F(0)]], [F(1)], EXACT)
     assert status == "many"
     assert x[0] == 1 and x[1] == 0  # free variables pinned to zero
 
 
 def test_solve_linear_float_pivoting():
-    status, x = solve_linear([[1e-16, 1.0], [1.0, 1.0]], [1.0, 2.0], exact=False)
+    status, x = solve_linear([[1e-16, 1.0], [1.0, 1.0]], [1.0, 2.0], Field(PIVOT_TOL))
     assert status == "unique"
     assert x[0] == pytest.approx(1.0, abs=1e-9)
     assert x[1] == pytest.approx(1.0, abs=1e-9)
@@ -197,3 +198,17 @@ def test_json_report_exact_strings(c_ext):
     assert mixed["p1"] == ["0", "1/3", "2/3", "0"]
     assert mixed["payoff"] == ["23/12", "23/12"]
     assert mixed["support_labels"] == [["iX", "U1"], ["iX", "U1"]]
+
+
+@pytest.mark.parametrize("theta1", ["1/3 pi", "1/4 pi"])  # rational, Q(sqrt(2)) entries
+def test_float_mode_converts_exact_entries(theta1):
+    ext = extension_matrix(ClassParams.create("C", theta1=theta1), PD)
+    exact = mixed_equilibria(ext, mode="exact")
+    approx = mixed_equilibria(ext, mode="float")
+    assert len(approx.equilibria) == len(exact.equilibria) > 0
+    for e, f in zip(exact.equilibria, approx.equilibria):
+        assert e.supports == f.supports
+        for x, y in zip(e.profile.p1 + e.profile.p2 + tuple(e.payoff),
+                        f.profile.p1 + f.profile.p2 + tuple(f.payoff)):
+            assert isinstance(y, float) and abs(float(x) - y) <= 1e-9
+        assert verify_equilibrium(ext, f)

@@ -37,12 +37,11 @@ from ewlext import (
     verify_invariance_end_to_end,
 )
 from ewlext import solver
-from ewlext.equivalence import FLOAT_TOL
+from ewlext.equivalence import FLOAT_TOL, Field
 from ewlext.solver import (
     UNCLASSIFIED,
     _coefficient_tables,
     _entry_table,
-    _intern_float,
     classify_tuple,
     lattice_phi,
 )
@@ -361,12 +360,12 @@ def test_float_interning_guard_holds_at_bench_thetas(th1):
 
 
 def test_float_interning_refuses_values_near_tol():
-    assert list(_intern_float([0.5, 0.25, 0.5 + 1e-16])) == [1, 0, 1]
+    assert list(Field(FLOAT_TOL).intern([0.5, 0.25, 0.5 + 1e-16])) == [1, 0, 1]
     for values in ([0.25, 0.5, 0.5 + 2 * FLOAT_TOL],   # a gap just above tol
                    [0.25, 0.5, 0.5 + FLOAT_TOL / 2],   # a cluster wider than tol/100
                    [0.25, float("nan")]):
         with pytest.raises(ToleranceError):
-            _intern_float(values)
+            Field(FLOAT_TOL).intern(values)
 
 
 def test_float_search_refuses_a_table_with_a_gap_near_tol(monkeypatch):
