@@ -13,8 +13,8 @@ import sys
 from fractions import Fraction
 from typing import List, Optional
 
-from .equivalence import Field
 from .errors import EwlError, ExactnessError
+from .exactnum import Field
 from .extensions import ClassId, ClassParams, extension_matrix, limit_check, strategy_set
 from .invariance import (
     ExtendedGame,

@@ -4,6 +4,7 @@ All discrete strategy parameters in this package live on lattices of
 rational multiples of pi.  Squared payoff amplitudes built from such angles
 stay inside the quadratic field Q(sqrt(2)), so an exact pair-of-Fractions
 number type is enough to avoid floating point everywhere it matters.
+Field decides how two scalars compare, exactly or within a tolerance.
 """
 
 from __future__ import annotations
@@ -13,15 +14,14 @@ import re
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from typing import Union
+from typing import Dict, Optional, Union
 
-from .errors import DomainError, ExactnessError
+import numpy as np
+
+from .errors import DomainError, ExactnessError, ToleranceError
 
 _ZERO = Fraction(0)
-_ONE = Fraction(1)
 _HALF = Fraction(1, 2)
-
-RationalLike = Union[int, Fraction]
 
 
 class Q2:
@@ -45,15 +45,6 @@ class Q2:
         if isinstance(x, (int, Fraction)):
             return Q2(x)
         raise TypeError(f"cannot coerce {type(x).__name__} to Q2")
-
-    @property
-    def is_rational(self) -> bool:
-        return self.b == 0
-
-    def as_fraction(self) -> Fraction:
-        if self.b != 0:
-            raise ExactnessError(f"{self} has an irrational sqrt(2) part")
-        return self.a
 
     def __float__(self) -> float:
         return float(self.a) + float(self.b) * math.sqrt(2.0)
@@ -160,6 +151,10 @@ class Q2:
 def normalize(x):
     """A rational Q2 as its Fraction; any other scalar unchanged."""
     return x.a if isinstance(x, Q2) and x.b == 0 else x
+
+
+def scalar_is_exact(x) -> bool:
+    return isinstance(x, (int, Fraction, Q2))
 
 
 Q2_ZERO = Q2(0)
@@ -314,5 +309,114 @@ class Angle:
         return self.format()
 
 
-ANGLE_ZERO = Angle.pi_frac(0)
 ANGLE_PI = Angle.pi_frac(1)
+
+
+# -- comparing scalars, exactly or within a tolerance -------------------------
+
+FLOAT_TOL = 1e-10
+
+
+@dataclass(frozen=True)
+class Field:
+    """How two scalars compare: exactly when tol is None, else within tol.
+
+    Every algorithm that compares scalars asks its Field instead of testing
+    types or a mode: partition and criterion_holds, strongly_isomorphic, the
+    lattice kernel's interning, the closed-form payoff sum and the
+    equilibrium solver.
+    """
+
+    tol: Optional[float] = None
+
+    @staticmethod
+    def of(values, mode: str = "auto", tol: float = FLOAT_TOL) -> "Field":
+        """Exact unless mode is 'float' or some value is a float."""
+        if mode != "float" and all(scalar_is_exact(v) for v in values):
+            return EXACT
+        return Field(tol)
+
+    @property
+    def exact(self) -> bool:
+        return self.tol is None
+
+    @property
+    def zero(self):
+        return Fraction(0) if self.exact else 0.0
+
+    @property
+    def one(self):
+        return Fraction(1) if self.exact else 1.0
+
+    def convert(self, x):
+        """x in this field: a float in a float field; in the exact field
+        ints become Fractions, so elimination never divides int by int."""
+        if not self.exact:
+            return float(x)
+        return Fraction(x) if isinstance(x, int) else x
+
+    def is_zero(self, x) -> bool:
+        return x == 0 if self.exact else abs(x) <= self.tol
+
+    def exceeds(self, x, y) -> bool:
+        """x > y, by more than tol in a float field."""
+        return x > y if self.exact else x > y + self.tol
+
+    def pivot(self, values) -> Optional[int]:
+        """Index of the pivot among values, None if all are zero: the first
+        nonzero one when exact, the largest in magnitude otherwise."""
+        if self.exact:
+            return next((i for i, v in enumerate(values) if v != 0), None)
+        best = max(range(len(values)), key=lambda i: abs(values[i]))
+        return None if self.is_zero(values[best]) else best
+
+    def key(self, x):
+        """Dedupe key: the value itself, or its index on a grid of step tol."""
+        return x if self.exact else round(float(x) / self.tol)
+
+    def rows_equal(self, r1, r2) -> bool:
+        """Rows of coefficient vectors equal entry by entry."""
+        if self.exact:
+            return r1 == r2
+        for v1, v2 in zip(r1, r2):
+            for x, y in zip(v1, v2):
+                if abs(float(x) - float(y)) > self.tol:
+                    return False
+        return True
+
+    def intern(self, values) -> np.ndarray:
+        """Integer ids of values: equal ids mean equal values (exact) or
+        values within tol (float).
+
+        Floats are sorted and start a new id at every gap wider than tol.
+        That is closeness at tol only if every cluster is much narrower than
+        tol and every gap much wider, so ToleranceError is raised unless
+        each cluster spans at most tol/100 and each gap is at least 100 tol.
+        """
+        if self.exact:
+            ids: Dict[object, int] = {}
+            return np.array([ids.setdefault(v, len(ids)) for v in values],
+                            dtype=np.int32)
+        tol = self.tol
+        values = np.asarray(values, dtype=np.float64)
+        if not np.isfinite(values).all():
+            raise ToleranceError("values to intern must be finite")
+        order = np.argsort(values)
+        ordered = values[order]
+        steps = np.diff(ordered)
+        breaks = steps > tol
+        starts = np.flatnonzero(np.r_[True, breaks])
+        ends = np.r_[starts[1:], len(ordered)] - 1
+        width = (ordered[ends] - ordered[starts]).max()
+        gap = steps[breaks].min(initial=np.inf)
+        if width > tol / 100 or gap < 100 * tol:
+            raise ToleranceError(
+                f"float values do not separate at tol = {tol:g}: "
+                f"widest cluster {width:.3g}, narrowest gap {gap:.3g}"
+            )
+        ids = np.empty(len(values), dtype=np.int32)
+        ids[order] = np.r_[0, np.cumsum(breaks)]
+        return ids
+
+
+EXACT = Field()

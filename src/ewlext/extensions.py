@@ -13,10 +13,10 @@ import math
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
-from typing import List, Sequence, Tuple
+from typing import List, Optional, Sequence, Tuple
 
 from .errors import ExactnessError, InvalidClassParams, NotDiscreteError
-from .exactnum import Angle, exact_cos, normalize
+from .exactnum import ANGLE_PI, Angle, exact_cos, normalize
 from .invariance import ExtendedGame, _block_matrix, default_labels
 from .payoff import Bimatrix2
 from .su2 import IDENTITY, IX, StrategyParams, canonicalize
@@ -39,25 +39,117 @@ class ClassId(Enum):
         return self.value[0]
 
 
-_DEFAULT_PHASES = {
-    # (alpha1, beta1, alpha2, beta2) in units of pi
-    ClassId.A1: (Fraction(1, 2), Fraction(0), Fraction(0), Fraction(3, 2)),
-    ClassId.A2: (Fraction(0), Fraction(3, 2), Fraction(1, 2), Fraction(0)),
-    ClassId.B: (Fraction(1, 4), Fraction(1, 4), Fraction(1, 4), Fraction(1, 4)),
-    ClassId.C: (Fraction(1, 4), Fraction(1, 4), Fraction(3, 4), Fraction(3, 4)),
-    ClassId.D1: (Fraction(0), Fraction(0), Fraction(0), Fraction(0)),
-    ClassId.D2: (Fraction(1, 2), Fraction(1, 2), Fraction(1, 2), Fraction(1, 2)),
-    ClassId.E1: (Fraction(0), Fraction(1, 2), Fraction(1, 2), Fraction(0)),
-    ClassId.E2: (Fraction(1, 2), Fraction(0), Fraction(0), Fraction(1, 2)),
-}
+_PHASE_NAMES = ("alpha1", "beta1", "alpha2", "beta2")
+
+
+@dataclass(frozen=True)
+class FamilyRule:
+    """The defining conditions of one family, in the order they are checked.
+
+    Angles are in units of pi, and phases are indexed as in _PHASE_NAMES.
+    theta pins theta1, or is None for theta1 strictly inside (0, pi), where
+    the default is pi/3.  A congruence (i, sign, j, shift, text) demands
+    phase_i + sign * phase_j = shift (mod pi), with shift 0 or 1/2.  grid,
+    if set, is (denominators, text): each phase must be exact, with one of
+    those denominators.  axis demands alpha1 in {0, pi} (True) or in
+    {pi/2, 3pi/2} (False).  tie (i, j) makes create derive phase_j =
+    -phase_i when the caller gives phase_i only.
+    """
+
+    name: str
+    theta: Optional[Fraction]
+    theta_text: str
+    default_phases: Tuple[Fraction, Fraction, Fraction, Fraction]
+    congruences: Tuple[Tuple[int, int, int, Fraction, str], ...]
+    grid: Optional[Tuple[Tuple[int, ...], str]] = None
+    axis: Optional[bool] = None
+    tie: Optional[Tuple[int, int]] = None
+
+    @property
+    def default_theta(self) -> Fraction:
+        return Fraction(1, 3) if self.theta is None else self.theta
+
+    def meets_theta(self, theta1: Angle) -> bool:
+        if self.theta is not None:
+            return theta1.is_exact and theta1.frac == self.theta
+        if theta1.is_exact:
+            return 0 < theta1.frac < 1
+        return 0.0 < theta1.to_radians() < math.pi
+
+    def violation(self, theta1: Angle, phases) -> Optional[str]:
+        """The InvalidClassParams message of the first violated condition,
+        or None.  phases are (alpha1, beta1, alpha2, beta2), each a Fraction
+        (units of pi) or a float (radians), as Angle.value holds them.
+        """
+        if not self.meets_theta(theta1):
+            return f"{self.name}: requires theta1 {self.theta_text}"
+        return self.phase_violation(phases)
+
+    def phase_violation(self, phases) -> Optional[str]:
+        """violation without the theta1 condition."""
+        if self.grid is not None:
+            denominators, text = self.grid
+            if not all(isinstance(v, Fraction) for v in phases):
+                return (f"{self.name}: phases must be exact multiples of pi/4 "
+                        f"on the discrete solution lattice")
+            for name, v in zip(_PHASE_NAMES, phases):
+                if v.denominator not in denominators:
+                    return f"{self.name}: {name} must be {text}"
+        for i, sign, j, shift, text in self.congruences:
+            x, y = phases[i], phases[j]
+            if isinstance(x, Fraction) and isinstance(y, Fraction):
+                # z = shift (mod 1) for shift 0 or 1/2: z has shift's denominator
+                ok = (x + y if sign > 0 else x - y).denominator == shift.denominator
+            else:
+                r = math.fmod(Angle(x).to_radians() + sign * Angle(y).to_radians()
+                              - shift * math.pi, math.pi)
+                ok = min(abs(r), abs(math.pi - r)) < 1e-9
+            if not ok:
+                return f"{self.name}: violated {text}"
+        if self.axis is not None and (phases[0].denominator == 1) != self.axis:
+            lie = "{0, pi}" if self.axis else "{pi/2, 3pi/2}"
+            return f"{self.name}: alpha1 must lie in {lie}"
+        return None
+
+
+def _pi(text: str) -> Tuple[Fraction, ...]:
+    return tuple(Fraction(v) for v in text.split())
+
+
+_INSIDE = "strictly inside (0, pi)"
+_ODD_QUARTERS = ((4,), "an odd multiple of pi/4")
+_HALVES = ((1, 2), "a multiple of pi/2")
+_D = ((1, -1, 0, 0, "beta1 = alpha1 + n pi"),
+      (2, -1, 1, 0, "alpha2 = beta1 + l pi"),
+      (3, -1, 0, 0, "beta2 = alpha1 + m pi"))
+_E = ((1, -1, 0, _HALF, "beta1 = alpha1 + (n+1/2) pi"),) + _D[1:]
+
+# One row per class: the conditions validate checks, which are also the
+# ones solver.classify_tuple attributes lattice hits by.
+FAMILY_RULES = {ClassId(rule.name): rule for rule in (
+    FamilyRule("A1", Fraction(0), "= 0 (theta2 = pi)", _pi("1/2 0 0 3/2"),
+               ((0, 1, 3, 0, "alpha1 + beta2 = n pi"),), tie=(0, 3)),
+    FamilyRule("A2", Fraction(1), "= pi (theta2 = 0)", _pi("0 3/2 1/2 0"),
+               ((2, 1, 1, 0, "alpha2 + beta1 = n pi"),), tie=(2, 1)),
+    FamilyRule("B", _HALF, "= pi/2", _pi("1/4 1/4 1/4 1/4"),
+               ((2, -1, 1, 0, "alpha2 = beta1 + n pi"),
+                (3, -1, 0, 0, "beta2 = alpha1 + l pi")), _ODD_QUARTERS),
+    FamilyRule("C", None, _INSIDE, _pi("1/4 1/4 3/4 3/4"),
+               ((2, -1, 1, _HALF, "alpha2 = beta1 + (n+1/2) pi"),
+                (3, -1, 0, _HALF, "beta2 = alpha1 + (l+1/2) pi")), _ODD_QUARTERS),
+    FamilyRule("D1", None, _INSIDE, _pi("0 0 0 0"), _D, _HALVES, axis=True),
+    FamilyRule("D2", None, _INSIDE, _pi("1/2 1/2 1/2 1/2"), _D, _HALVES, axis=False),
+    FamilyRule("E1", None, _INSIDE, _pi("0 1/2 1/2 0"), _E, _HALVES, axis=True),
+    FamilyRule("E2", None, _INSIDE, _pi("1/2 0 0 1/2"), _E, _HALVES, axis=False),
+)}
 
 
 @dataclass(frozen=True)
 class ClassParams:
     """A point of one extension family: theta1 plus the four phases.
 
-    theta2 is always pi - theta1.  Validation checks the defining
-    congruences of the family and reports the violated one by name.
+    theta2 is always pi - theta1.  Validation checks the family's row of
+    FAMILY_RULES and reports the first violated condition by name.
     """
 
     class_id: ClassId
@@ -71,95 +163,34 @@ class ClassParams:
     def create(class_id, theta1=None, alpha1=None, beta1=None,
                alpha2=None, beta2=None) -> "ClassParams":
         cid = class_id if isinstance(class_id, ClassId) else ClassId(str(class_id))
-        d_a1, d_b1, d_a2, d_b2 = _DEFAULT_PHASES[cid]
-        if cid is ClassId.A1:
-            theta_default: object = Fraction(0)
-        elif cid is ClassId.A2:
-            theta_default = Fraction(1)
-        elif cid is ClassId.B:
-            theta_default = Fraction(1, 2)
-        else:
-            theta_default = Fraction(1, 3)
-        a1 = Angle.parse(alpha1).mod_2pi() if alpha1 is not None else Angle.pi_frac(d_a1)
-        b1 = Angle.parse(beta1).mod_2pi() if beta1 is not None else Angle.pi_frac(d_b1)
-        a2 = Angle.parse(alpha2).mod_2pi() if alpha2 is not None else Angle.pi_frac(d_a2)
-        b2 = Angle.parse(beta2).mod_2pi() if beta2 is not None else Angle.pi_frac(d_b2)
+        rule = FAMILY_RULES[cid]
+        given = (alpha1, beta1, alpha2, beta2)
+        phases = [Angle.parse(v).mod_2pi() if v is not None else Angle.pi_frac(d)
+                  for v, d in zip(given, rule.default_phases)]
         # A-class matrices are pinned by one phase; derive the tied one when
         # the caller supplied only that.
-        if cid is ClassId.A1 and alpha1 is not None and beta2 is None:
-            b2 = Angle.pi_frac((-a1.frac) % 2) if a1.is_exact else Angle.radians(
-                (2 * math.pi - a1.to_radians()) % (2 * math.pi))
-        if cid is ClassId.A2 and alpha2 is not None and beta1 is None:
-            b1 = Angle.pi_frac((-a2.frac) % 2) if a2.is_exact else Angle.radians(
-                (2 * math.pi - a2.to_radians()) % (2 * math.pi))
-        th = Angle.parse(theta1) if theta1 is not None else Angle.pi_frac(theta_default)
-        params = ClassParams(cid, th, a1, b1, a2, b2)
+        if rule.tie is not None:
+            i, j = rule.tie
+            if given[i] is not None and given[j] is None:
+                phases[j] = (Angle.pi_frac(2) - phases[i]).mod_2pi()
+        th = Angle.parse(theta1) if theta1 is not None else Angle.pi_frac(rule.default_theta)
+        params = ClassParams(cid, th, *phases)
         params.validate()
         return params
 
     @property
     def theta2(self) -> Angle:
-        if self.theta1.is_exact:
-            return Angle.pi_frac(1 - self.theta1.frac)
-        return Angle.radians(math.pi - self.theta1.to_radians())
+        return ANGLE_PI - self.theta1
 
     @property
     def phases(self) -> Tuple[Angle, Angle, Angle, Angle]:
         return (self.alpha1, self.beta1, self.alpha2, self.beta2)
 
     def validate(self) -> None:
-        cid = self.class_id
-        _check_theta(cid, self.theta1)
-        exact = all(a.is_exact for a in self.phases)
-        if cid in (ClassId.A1, ClassId.A2):
-            _check_a_congruence(cid, self)
-            return
-        if not exact:
-            raise InvalidClassParams(
-                f"{cid.value}: phases must be exact multiples of pi/4 on the "
-                f"discrete solution lattice"
-            )
-        a1, b1, a2, b2 = (a.frac for a in self.phases)
-        if cid in (ClassId.B, ClassId.C):
-            for name, v in (("alpha1", a1), ("beta1", b1), ("alpha2", a2), ("beta2", b2)):
-                if v.denominator != 4:
-                    raise InvalidClassParams(
-                        f"{cid.value}: {name} must be an odd multiple of pi/4"
-                    )
-            shift = Fraction(0) if cid is ClassId.B else _HALF
-            if (a2 - b1 - shift) % 1 != 0:
-                raise InvalidClassParams(
-                    f"{cid.value}: violated alpha2 = beta1 + "
-                    f"{'n pi' if cid is ClassId.B else '(n+1/2) pi'}"
-                )
-            if (b2 - a1 - shift) % 1 != 0:
-                raise InvalidClassParams(
-                    f"{cid.value}: violated beta2 = alpha1 + "
-                    f"{'l pi' if cid is ClassId.B else '(l+1/2) pi'}"
-                )
-            return
-        # D and E families
-        lattice = {Fraction(0), _HALF, Fraction(1), Fraction(3, 2)}
-        for name, v in (("alpha1", a1), ("beta1", b1), ("alpha2", a2), ("beta2", b2)):
-            if v not in lattice:
-                raise InvalidClassParams(
-                    f"{cid.value}: {name} must be a multiple of pi/2"
-                )
-        shift = Fraction(0) if cid.family == "D" else _HALF
-        if (b1 - a1 - shift) % 1 != 0:
-            raise InvalidClassParams(
-                f"{cid.value}: violated beta1 = alpha1 + "
-                f"{'n pi' if cid.family == 'D' else '(n+1/2) pi'}"
-            )
-        if (a2 - b1) % 1 != 0:
-            raise InvalidClassParams(f"{cid.value}: violated alpha2 = beta1 + l pi")
-        if (b2 - a1) % 1 != 0:
-            raise InvalidClassParams(f"{cid.value}: violated beta2 = alpha1 + m pi")
-        in_axis = a1.denominator == 1  # alpha1 in {0, pi}
-        if cid in (ClassId.D1, ClassId.E1) and not in_axis:
-            raise InvalidClassParams(f"{cid.value}: alpha1 must lie in {{0, pi}}")
-        if cid in (ClassId.D2, ClassId.E2) and in_axis:
-            raise InvalidClassParams(f"{cid.value}: alpha1 must lie in {{pi/2, 3pi/2}}")
+        message = FAMILY_RULES[self.class_id].violation(
+            self.theta1, tuple(a.value for a in self.phases))
+        if message is not None:
+            raise InvalidClassParams(message)
 
     def to_json(self) -> dict:
         return {
@@ -170,41 +201,6 @@ class ClassParams:
             "alpha2": self.alpha2.format(),
             "beta2": self.beta2.format(),
         }
-
-
-def _check_theta(cid: ClassId, theta1: Angle) -> None:
-    if cid is ClassId.A1:
-        if not (theta1.is_exact and theta1.frac == 0):
-            raise InvalidClassParams("A1: requires theta1 = 0 (theta2 = pi)")
-    elif cid is ClassId.A2:
-        if not (theta1.is_exact and theta1.frac == 1):
-            raise InvalidClassParams("A2: requires theta1 = pi (theta2 = 0)")
-    elif cid is ClassId.B:
-        if not (theta1.is_exact and theta1.frac == _HALF):
-            raise InvalidClassParams("B: requires theta1 = pi/2")
-    else:
-        if theta1.is_exact:
-            inside = 0 < theta1.frac < 1
-        else:
-            inside = 0.0 < theta1.to_radians() < math.pi
-        if not inside:
-            raise InvalidClassParams(
-                f"{cid.value}: requires theta1 strictly inside (0, pi)"
-            )
-
-
-def _check_a_congruence(cid: ClassId, p: ClassParams) -> None:
-    if cid is ClassId.A1:
-        x, y, text = p.alpha1, p.beta2, "alpha1 + beta2 = n pi"
-    else:
-        x, y, text = p.alpha2, p.beta1, "alpha2 + beta1 = n pi"
-    if x.is_exact and y.is_exact:
-        ok = (x.frac + y.frac) % 1 == 0
-    else:
-        r = math.fmod(x.to_radians() + y.to_radians(), math.pi)
-        ok = min(abs(r), abs(math.pi - r)) < 1e-9
-    if not ok:
-        raise InvalidClassParams(f"{cid.value}: violated {text}")
 
 
 # -- discrete solution sets ---------------------------------------------------
@@ -415,7 +411,7 @@ def limit_check(class_id: ClassId, direction: str, game: Bimatrix2,
         probe = ClassParams(
             class_id,
             Angle.radians(theta),
-            *(Angle.pi_frac(k) for k in _DEFAULT_PHASES[class_id]),
+            *(Angle.pi_frac(k) for k in FAMILY_RULES[class_id].default_phases),
         )
         mat = extension_matrix(probe, game)
         t = math.cos(theta / 2.0) ** 2

@@ -12,10 +12,11 @@ from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .equivalence import EXACT, FLOAT_TOL, Field, _group_rows, coefficient_row
+from .equivalence import _group_rows, coefficient_row
 from .errors import DimensionMismatchError
-from .exactnum import normalize
-from .payoff import Bimatrix2, PayoffPair, format_scalar, parse_scalar, payoff_closed_form
+from .exactnum import EXACT, FLOAT_TOL, Field, normalize
+from .payoff import (Bimatrix2, PayoffPair, format_grid, format_scalar, parse_grid,
+                     payoff_closed_form)
 from .su2 import StrategyParams, phi
 
 
@@ -68,19 +69,12 @@ class ExtendedGame:
     def to_json(self) -> dict:
         return {
             "labels": list(self.labels),
-            "payoffs": [
-                [[format_scalar(p.u1), format_scalar(p.u2)] for p in row]
-                for row in self.payoffs
-            ],
+            "payoffs": format_grid(self.payoffs),
         }
 
     @staticmethod
     def from_json(obj) -> "ExtendedGame":
-        grid = tuple(
-            tuple(PayoffPair(parse_scalar(a), parse_scalar(b)) for a, b in row)
-            for row in obj["payoffs"]
-        )
-        return ExtendedGame(tuple(obj["labels"]), grid)
+        return ExtendedGame(tuple(obj["labels"]), parse_grid(obj["payoffs"]))
 
     def pretty(self) -> str:
         cells = [[f"({format_scalar(p.u1)}, {format_scalar(p.u2)})" for p in row]
@@ -187,10 +181,11 @@ def criterion_holds(strategies: Sequence[StrategyParams], mode: str = "auto",
     """Executable form of the quotient criterion: the family of equivalence
     classes of S must coincide with the family of classes of phi(S).
 
-    Every phi image must be equivalent (opponents = S) to some member of S,
-    and together the images must cover every class of S; classes are
-    disjoint, so the induced matching between class families is then a
-    bijection.  Each coefficient row is computed exactly once.
+    Every class K of S must receive exactly |K| phi images, equivalence
+    taken with opponents = S.  Then every image lands in some class, and
+    some permutation sigma of S has phi(s_i) equivalent to s_sigma(i) for
+    every i: a bijection of strategies, not only of classes.  Each
+    coefficient row is computed exactly once.
     """
     rows = [coefficient_row(s, strategies, mode=mode) for s in strategies]
     phi_rows = [coefficient_row(phi(s), strategies, mode=mode) for s in strategies]
@@ -201,8 +196,7 @@ def criterion_holds(strategies: Sequence[StrategyParams], mode: str = "auto",
               if field.rows_equal(phi_row, rows[cls[0]])), -1)
         for phi_row in phi_rows
     )
-    covered = {k for k in image if k >= 0}
-    holds = all(k >= 0 for k in image) and covered == set(range(len(classes)))
+    holds = all(image.count(k) == len(cls) for k, cls in enumerate(classes))
     return CriterionReport(holds, tuple(classes), image)
 
 

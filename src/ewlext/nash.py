@@ -13,9 +13,8 @@ from dataclasses import dataclass
 from itertools import combinations
 from typing import List, Optional, Sequence, Tuple
 
-from .equivalence import EXACT, Field
 from .errors import DimensionMismatchError, ExactnessError
-from .exactnum import normalize
+from .exactnum import EXACT, Field, normalize
 from .invariance import ExtendedGame
 from .payoff import PayoffPair, format_scalar
 
@@ -67,11 +66,6 @@ def solve_linear(a_rows: List[List], rhs: List, field: Field):
 class MixedProfile:
     p1: Tuple
     p2: Tuple
-
-    def support(self, side: int) -> Tuple[int, ...]:
-        probs = self.p1 if side == 0 else self.p2
-        field = Field.of(probs, tol=PIVOT_TOL)
-        return tuple(i for i, v in enumerate(probs) if not field.is_zero(v))
 
 
 @dataclass(frozen=True)

@@ -18,7 +18,7 @@ from typing import NamedTuple, Tuple, Union
 import numpy as np
 
 from .errors import DimensionMismatchError, DomainError, ExactnessError
-from .exactnum import Q2, exact_cos, exact_sin, normalize
+from .exactnum import Q2, Field, exact_cos, exact_sin, normalize, scalar_is_exact
 from .su2 import StrategyParams, build_unitary
 
 Scalar = Union[Fraction, Q2, float, int]
@@ -81,8 +81,17 @@ def format_scalar(x: Scalar) -> Union[str, float]:
     return float(x)
 
 
-def scalar_is_exact(x: Scalar) -> bool:
-    return isinstance(x, (int, Fraction, Q2))
+def parse_grid(rows) -> Tuple[Tuple[PayoffPair, ...], ...]:
+    """A grid of payoff pairs from JSON rows of [u1, u2] entries."""
+    return tuple(
+        tuple(PayoffPair(parse_scalar(a), parse_scalar(b)) for a, b in row)
+        for row in rows
+    )
+
+
+def format_grid(grid) -> list:
+    """JSON rows of a grid of payoff pairs; inverse of parse_grid."""
+    return [[[format_scalar(p.u1), format_scalar(p.u2)] for p in row] for row in grid]
 
 
 @dataclass(frozen=True)
@@ -95,23 +104,14 @@ class Bimatrix2:
     def from_rows(rows) -> "Bimatrix2":
         if len(rows) != 2 or any(len(r) != 2 for r in rows):
             raise DimensionMismatchError("a Bimatrix2 needs a 2x2 grid of pairs")
-        grid = tuple(
-            tuple(PayoffPair(parse_scalar(a), parse_scalar(b)) for a, b in row)
-            for row in rows
-        )
-        return Bimatrix2(grid)
+        return Bimatrix2(parse_grid(rows))
 
     @staticmethod
     def from_json(obj) -> "Bimatrix2":
         return Bimatrix2.from_rows(obj["payoffs"])
 
     def to_json(self) -> dict:
-        return {
-            "payoffs": [
-                [[format_scalar(p.u1), format_scalar(p.u2)] for p in row]
-                for row in self.delta
-            ]
-        }
+        return {"payoffs": format_grid(self.delta)}
 
     @property
     def is_exact(self) -> bool:
@@ -121,14 +121,8 @@ class Bimatrix2:
             for p in row
         )
 
-    def entry(self, i: int, j: int) -> PayoffPair:
-        return self.delta[i][j]
-
     def values_u1(self):
         return [[p.u1 for p in row] for row in self.delta]
-
-    def values_u2(self):
-        return [[p.u2 for p in row] for row in self.delta]
 
 
 PRISONERS_DILEMMA = Bimatrix2.from_rows([[(3, 3), (0, 5)], [(5, 0), (1, 1)]])
@@ -230,14 +224,11 @@ def coefficients(p1: StrategyParams, p2: StrategyParams,
 
 def _combine(game: Bimatrix2, c: CoefficientVector) -> PayoffPair:
     cells = (game.delta[0][0], game.delta[0][1], game.delta[1][0], game.delta[1][1])
-    exact = game.is_exact and all(scalar_is_exact(k) for k in c)
-    if exact:
-        u1 = sum((Q2.coerce(k) * p.u1 for k, p in zip(c, cells)), Q2(0))
-        u2 = sum((Q2.coerce(k) * p.u2 for k, p in zip(c, cells)), Q2(0))
-        return PayoffPair(normalize(u1), normalize(u2))
-    u1 = sum(float(k) * float(p.u1) for k, p in zip(c, cells))
-    u2 = sum(float(k) * float(p.u2) for k, p in zip(c, cells))
-    return PayoffPair(u1, u2)
+    field = Field.of([*c, *(v for p in cells for v in p)])
+    c = [field.convert(k) for k in c]
+    u1 = sum((k * field.convert(p.u1) for k, p in zip(c, cells)), field.zero)
+    u2 = sum((k * field.convert(p.u2) for k, p in zip(c, cells)), field.zero)
+    return PayoffPair(normalize(u1), normalize(u2))
 
 
 def payoff_closed_form(game: Bimatrix2, p1: StrategyParams, p2: StrategyParams,

@@ -2,7 +2,8 @@
 
 The search sweeps a phase lattice at fixed theta1 (theta2 = pi - theta1),
 decides the executable criterion on {I, iX, U1, U2} for every tuple, and
-attributes each hit to one of the families A-E by its defining congruences.
+attributes each hit to one of the families A-E by the conditions of
+extensions.FAMILY_RULES.
 One table kernel decides every slice, exact or float, on the pi/4 and the
 pi/8 lattice: the coefficient vectors depend only on the two thetas and on
 sums and differences of phases, so one coefficient call per theta pair and
@@ -38,19 +39,21 @@ import io
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
+from itertools import permutations
 from typing import Dict, Iterator, List, Tuple
 
 import numpy as np
 
-from .equivalence import EXACT, FLOAT_TOL, Field
 from .errors import DomainError, ExactnessError
-from .exactnum import Angle
+from .exactnum import EXACT, FLOAT_TOL, Angle, Field
+from .extensions import FAMILY_RULES
 from .payoff import coefficients
 from .su2 import canonicalize
 
-_HALF = Fraction(1, 2)
 
 UNCLASSIFIED = "UNCLASSIFIED"
+_PERMUTATIONS = np.array(list(permutations(range(4))))
 
 
 @dataclass(frozen=True)
@@ -100,30 +103,22 @@ class Solution:
         )
 
 
+@lru_cache(maxsize=64)
+def _families_at(theta1: Angle):
+    """(label, rule) of every family whose theta1 condition theta1 meets."""
+    return tuple((cid.value, rule) for cid, rule in FAMILY_RULES.items()
+                 if rule.meets_theta(theta1))
+
+
 def classify_tuple(theta1: Angle, a1: Fraction, b1: Fraction,
                    a2: Fraction, b2: Fraction) -> str:
-    """Attribute a criterion-satisfying tuple to its family by congruences."""
-    if theta1.is_exact and theta1.frac == 0:
-        return "A1" if (a1 + b2) % 1 == 0 else UNCLASSIFIED
-    if theta1.is_exact and theta1.frac == 1:
-        return "A2" if (a2 + b1) % 1 == 0 else UNCLASSIFIED
-    quarters = all(v.denominator == 4 for v in (a1, b1, a2, b2))
-    halves = all(v.denominator in (1, 2) for v in (a1, b1, a2, b2))
-    if quarters:
-        if (a2 - b1) % 1 == 0 and (b2 - a1) % 1 == 0:
-            if theta1.is_exact and theta1.frac == _HALF:
-                return "B"
-            return UNCLASSIFIED
-        if (a2 - b1 - _HALF) % 1 == 0 and (b2 - a1 - _HALF) % 1 == 0:
-            return "C"
-        return UNCLASSIFIED
-    if halves:
-        if (a2 - b1) % 1 != 0 or (b2 - a1) % 1 != 0:
-            return UNCLASSIFIED
-        if (b1 - a1) % 1 == 0:
-            return "D1" if a1.denominator == 1 else "D2"
-        if (b1 - a1 - _HALF) % 1 == 0:
-            return "E1" if a1.denominator == 1 else "E2"
+    """The family whose defining conditions (extensions.FAMILY_RULES) a
+    criterion-satisfying tuple meets, or UNCLASSIFIED.  The families'
+    conditions exclude each other, so at most one matches."""
+    phases = (a1, b1, a2, b2)
+    for label, rule in _families_at(theta1):
+        if rule.phase_violation(phases) is None:
+            return label
     return UNCLASSIFIED
 
 
@@ -224,12 +219,12 @@ def _slice_hits(th1: Fraction, n: int, mode: str) -> Iterator[Tuple[int, int, in
 
     Every strategy of some S or phi(S) gets a row of the entry table, and
     the tuples are checked n * n at a time, one chunk per (a1, b1).  A
-    strategy's row is its entries against S; the criterion holds iff every
-    phi image's row equals some row of S and every row of S equals some
-    image's row.  Entry equality is transitive, and it is exact equality in
-    mode 'exact' and closeness at FLOAT_TOL in mode 'float', so this is
-    criterion_holds' rule: each image lands in a class, and the images
-    cover every class.
+    strategy's row is its entries against S; the criterion holds iff some
+    permutation sigma of S gives phi(s_i) the row of s_sigma(i) for every
+    i, which is one of 24 patterns of the 4 x 4 match matrix.  Entry
+    equality is transitive, and it is exact equality in mode 'exact' and
+    closeness at FLOAT_TOL in mode 'float', so this is criterion_holds'
+    rule: each class K of S receives |K| images.
     """
     thetas = list(dict.fromkeys((Fraction(0), Fraction(1), th1, 1 - th1)))
     pos = {t: i for i, t in enumerate(thetas)}
@@ -254,7 +249,7 @@ def _slice_hits(th1: Fraction, n: int, mode: str) -> Iterator[Tuple[int, int, in
         members[:, 2], members[:, 6] = columns[2][u1], columns[6][u1]
         rows = table[members[:, :, None], members[:, None, :4]]
         match = (rows[:, 4:, None] == rows[:, None, :4]).all(axis=3)
-        holds = match.any(axis=2).all(axis=1) & match.any(axis=1).all(axis=1)
+        holds = match[:, np.arange(4), _PERMUTATIONS].all(axis=2).any(axis=1)
         for u2 in np.flatnonzero(holds):
             yield (*divmod(u1, n), *divmod(int(u2), n))
 

@@ -1,9 +1,11 @@
+import math
 from fractions import Fraction
 
 import numpy as np
 import pytest
 
 from ewlext import (
+    Angle,
     ClassId,
     ClassParams,
     InvalidClassParams,
@@ -205,6 +207,61 @@ def test_invalid_params_name_the_congruence():
     with pytest.raises(InvalidClassParams, match="0, pi"):
         ClassParams.create("D1", theta1="1/3 pi", alpha1="1/2 pi",
                            beta1="1/2 pi", alpha2="1/2 pi", beta2="1/2 pi")
+
+
+# (class, create arguments, the InvalidClassParams message); one case per
+# kind of condition in extensions.FAMILY_RULES
+MESSAGE_CASES = [
+    ("A1", dict(theta1="1/4 pi"), "A1: requires theta1 = 0 (theta2 = pi)"),
+    ("A2", dict(theta1=0), "A2: requires theta1 = pi (theta2 = 0)"),
+    ("B", dict(theta1="1/3 pi"), "B: requires theta1 = pi/2"),
+    ("C", dict(theta1="pi"), "C: requires theta1 strictly inside (0, pi)"),
+    ("E2", dict(theta1=3.5), "E2: requires theta1 strictly inside (0, pi)"),
+    ("A1", dict(alpha1="1/4 pi", beta2="1/4 pi"), "A1: violated alpha1 + beta2 = n pi"),
+    ("A2", dict(alpha2=0.3, beta1=0.2), "A2: violated alpha2 + beta1 = n pi"),
+    ("C", dict(alpha1=0.7),
+     "C: phases must be exact multiples of pi/4 on the discrete solution lattice"),
+    ("B", dict(beta2="1/2 pi"), "B: beta2 must be an odd multiple of pi/4"),
+    ("B", dict(alpha2="3/4 pi"), "B: violated alpha2 = beta1 + n pi"),
+    ("B", dict(beta2="3/4 pi"), "B: violated beta2 = alpha1 + l pi"),
+    ("C", dict(alpha2="1/4 pi"), "C: violated alpha2 = beta1 + (n+1/2) pi"),
+    ("C", dict(beta2="1/4 pi"), "C: violated beta2 = alpha1 + (l+1/2) pi"),
+    ("D1", dict(alpha2="1/4 pi"), "D1: alpha2 must be a multiple of pi/2"),
+    ("D2", dict(beta1=0), "D2: violated beta1 = alpha1 + n pi"),
+    ("E1", dict(beta1=0), "E1: violated beta1 = alpha1 + (n+1/2) pi"),
+    ("E2", dict(alpha2="1/2 pi"), "E2: violated alpha2 = beta1 + l pi"),
+    ("D1", dict(beta2="1/2 pi"), "D1: violated beta2 = alpha1 + m pi"),
+    ("D1", dict(alpha1="1/2 pi", beta1="1/2 pi", alpha2="1/2 pi", beta2="1/2 pi"),
+     "D1: alpha1 must lie in {0, pi}"),
+    ("E2", dict(alpha1=0, beta1="1/2 pi", alpha2="1/2 pi", beta2=0),
+     "E2: alpha1 must lie in {pi/2, 3pi/2}"),
+]
+
+
+@pytest.mark.parametrize("cid,kwargs,message", MESSAGE_CASES)
+def test_validate_reports_the_first_violated_condition(cid, kwargs, message):
+    with pytest.raises(InvalidClassParams) as exc:
+        ClassParams.create(cid, **kwargs)
+    assert str(exc.value) == message
+
+
+def test_create_defaults_theta2_and_a_class_phases():
+    thetas = {"A1": "0", "A2": "pi", "B": "1/2 pi"}
+    for cid in ClassId:
+        params = ClassParams.create(cid)
+        assert params.theta1.format() == thetas.get(cid.value, "1/3 pi")
+        assert (params.theta1 + params.theta2).value == 1
+    assert ClassParams.create("C").phases == tuple(
+        Angle.pi_frac(k) for k in (Fraction(1, 4), Fraction(1, 4), Fraction(3, 4), Fraction(3, 4)))
+    # the A-class tied phase is -alpha mod 2 pi, exact or float, and theta2
+    # is pi - theta1 in the same arithmetic
+    assert ClassParams.create("A2", alpha2="3/4 pi").beta1 == Angle.pi_frac(Fraction(5, 4))
+    a1 = ClassParams.create("A1", alpha1=0.7)
+    assert a1.beta2.value == (2 * math.pi - 0.7) % (2 * math.pi)
+    assert ClassParams.create("C", theta1=1.0).theta2.value == math.pi - 1.0
+    # a float A congruence holds within 1e-9 on both sides of a multiple of pi
+    for offset in (-1e-12, 1e-12):
+        ClassParams.create("A1", alpha1=0.3, beta2=math.pi - 0.3 + offset)
 
 
 def test_limit_targets_match_block_limits():

@@ -176,6 +176,17 @@ def test_criterion_examples():
     assert criterion_holds([IDENTITY, IX]).holds
 
 
+def test_criterion_counts_class_sizes():
+    # phi sends both copies of I into the class {iX} and iX into {I, I}:
+    # every class is hit, but {iX} gets two images and {I, I} one, so no
+    # bijection of strategies exists and the PD extension is not invariant
+    s = [IDENTITY, IX, IDENTITY, canonicalize("1/2 pi", 0, 0)]
+    rep = criterion_holds(s)
+    assert rep.classes == ((0, 2), (1,), (3,))
+    assert not rep.holds
+    assert not verify_invariance_end_to_end(PD, s).all_isomorphic
+
+
 def test_criterion_report_mapping():
     rep = criterion_holds([IDENTITY, IX])
     assert rep.classes == ((0,), (1,))

@@ -21,6 +21,7 @@ import numpy as np
 import pytest
 
 from ewlext import (
+    Angle,
     DomainError,
     ExactnessError,
     IDENTITY,
@@ -281,6 +282,42 @@ def test_classify_tuple_examples():
     assert classify_tuple(third_pi, Fraction(0), HALF, HALF, Fraction(0)) == "E1"
     assert classify_tuple(zero, q, 3 * q, HALF, 7 * q) == "A1"
     assert classify_tuple(zero, q, 3 * q, HALF, HALF) == UNCLASSIFIED
+
+
+def _reference_classify(theta1, a1, b1, a2, b2):
+    """The hand-written congruences classify_tuple used before the family
+    table (extensions.FAMILY_RULES), kept as an independent reference."""
+    if theta1.is_exact and theta1.frac == 0:
+        return "A1" if (a1 + b2) % 1 == 0 else UNCLASSIFIED
+    if theta1.is_exact and theta1.frac == 1:
+        return "A2" if (a2 + b1) % 1 == 0 else UNCLASSIFIED
+    quarters = all(v.denominator == 4 for v in (a1, b1, a2, b2))
+    halves = all(v.denominator in (1, 2) for v in (a1, b1, a2, b2))
+    if quarters:
+        if (a2 - b1) % 1 == 0 and (b2 - a1) % 1 == 0:
+            if theta1.is_exact and theta1.frac == HALF:
+                return "B"
+            return UNCLASSIFIED
+        if (a2 - b1 - HALF) % 1 == 0 and (b2 - a1 - HALF) % 1 == 0:
+            return "C"
+        return UNCLASSIFIED
+    if halves:
+        if (a2 - b1) % 1 != 0 or (b2 - a1) % 1 != 0:
+            return UNCLASSIFIED
+        if (b1 - a1) % 1 == 0:
+            return "D1" if a1.denominator == 1 else "D2"
+        if (b1 - a1 - HALF) % 1 == 0:
+            return "E1" if a1.denominator == 1 else "E2"
+    return UNCLASSIFIED
+
+
+def test_classify_tuple_equals_the_reference_congruences():
+    # every tuple of the pi/4 lattice, hit or not, at seven theta1 values
+    points = [Fraction(k, 4) for k in range(8)]
+    for k in (0, Fraction(1, 4), Fraction(1, 3), HALF, Fraction(2, 3), Fraction(3, 4), 1):
+        theta = Angle.pi_frac(k)
+        for phases in product(points, repeat=4):
+            assert classify_tuple(theta, *phases) == _reference_classify(theta, *phases)
 
 
 def test_exact_mode_rejects_eighth_step():
