@@ -1,6 +1,8 @@
 """Quantum extensions of 2x2 games with finite unitary strategy sets:
 construction, isomorphism-invariance verification, exact extension
 bimatrices for the permissible families, and Nash equilibrium solving.
+numpy is imported only inside the functions that build arrays (the lattice
+search, float interning, matrices), so `import ewlext` does not load it.
 """
 
 from .equivalence import (

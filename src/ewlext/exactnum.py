@@ -14,9 +14,7 @@ import re
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from typing import Dict, Optional, Union
-
-import numpy as np
+from typing import Dict, List, Optional, Union
 
 from .errors import DomainError, ExactnessError, ToleranceError
 
@@ -384,7 +382,7 @@ class Field:
                     return False
         return True
 
-    def intern(self, values) -> np.ndarray:
+    def intern(self, values) -> List[int]:
         """Integer ids of values: equal ids mean equal values (exact) or
         values within tol (float).
 
@@ -395,8 +393,8 @@ class Field:
         """
         if self.exact:
             ids: Dict[object, int] = {}
-            return np.array([ids.setdefault(v, len(ids)) for v in values],
-                            dtype=np.int32)
+            return [ids.setdefault(v, len(ids)) for v in values]
+        import numpy as np
         tol = self.tol
         values = np.asarray(values, dtype=np.float64)
         if not np.isfinite(values).all():
@@ -416,7 +414,7 @@ class Field:
             )
         ids = np.empty(len(values), dtype=np.int32)
         ids[order] = np.r_[0, np.cumsum(breaks)]
-        return ids
+        return ids.tolist()
 
 
 EXACT = Field()

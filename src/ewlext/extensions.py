@@ -101,9 +101,9 @@ class FamilyRule:
                 # z = shift (mod 1) for shift 0 or 1/2: z has shift's denominator
                 ok = (x + y if sign > 0 else x - y).denominator == shift.denominator
             else:
-                r = math.fmod(Angle(x).to_radians() + sign * Angle(y).to_radians()
-                              - shift * math.pi, math.pi)
-                ok = min(abs(r), abs(math.pi - r)) < 1e-9
+                z = (Angle(x).to_radians() + sign * Angle(y).to_radians()
+                     - shift * math.pi)
+                ok = abs(math.remainder(z, math.pi)) < 1e-9
             if not ok:
                 return f"{self.name}: violated {text}"
         if self.axis is not None and (phases[0].denominator == 1) != self.axis:

@@ -10,8 +10,6 @@ from fractions import Fraction
 from itertools import permutations
 from typing import List, Optional, Sequence, Tuple
 
-import numpy as np
-
 from .equivalence import _group_rows, coefficient_row
 from .errors import DimensionMismatchError
 from .exactnum import EXACT, FLOAT_TOL, Field, normalize
@@ -134,8 +132,10 @@ def strongly_isomorphic(g1: ExtendedGame, g2: ExtendedGame,
         raise DimensionMismatchError(f"cannot compare {n}x{n} with {g2.n}x{g2.n}")
     field = Field(tol) if tol > 0.0 else EXACT
     ids = field.intern([v for g in (g1, g2) for row in g.payoffs for p in row for v in p])
-    ids = ids.astype(np.int64).reshape(2, n, n, 2)
-    a, b = (ids[..., 0] * (ids.max() + 1) + ids[..., 1]).tolist()  # one id per cell
+    size = max(ids) + 1
+    cells = [x * size + y for x, y in zip(ids[::2], ids[1::2])]  # one id per cell
+    rows = [cells[k:k + n] for k in range(0, 2 * n * n, n)]
+    a, b = rows[:n], rows[n:]
 
     # Rows can only map to rows with the same payoff multiset (and likewise
     # for columns); this prunes most of the n! candidates.

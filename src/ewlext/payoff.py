@@ -13,13 +13,14 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from typing import NamedTuple, Tuple, Union
-
-import numpy as np
+from typing import TYPE_CHECKING, List, NamedTuple, Tuple, Union
 
 from .errors import DimensionMismatchError, DomainError, ExactnessError
 from .exactnum import Q2, Field, exact_cos, exact_sin, normalize, scalar_is_exact
-from .su2 import StrategyParams, build_unitary
+from .su2 import StrategyParams, unitary_entries
+
+if TYPE_CHECKING:
+    import numpy as np
 
 Scalar = Union[Fraction, Q2, float, int]
 
@@ -239,15 +240,22 @@ def payoff_closed_form(game: Bimatrix2, p1: StrategyParams, p2: StrategyParams,
 
 # -- statevector oracle -------------------------------------------------------
 
-_SX = np.array([[0, 1], [1, 0]], dtype=complex)
-_J = (np.eye(4, dtype=complex) + 1j * np.kron(_SX, _SX)) / math.sqrt(2.0)
-_J_DAG = _J.conj().T
+_SQRT2 = math.sqrt(2.0)
+
+
+def _statevector(p1: StrategyParams, p2: StrategyParams) -> List[complex]:
+    """final_state in plain complex arithmetic.  J = (1 + i X x X)/sqrt 2, so
+    J|00> = (|00> + i|11>)/sqrt 2, and J^dag mixes |k> with |3 - k> = X x X |k>."""
+    a, b = unitary_entries(p1), unitary_entries(p2)
+    v = [(a[r][0] * b[c][0] + 1j * a[r][1] * b[c][1]) / _SQRT2
+         for r in (0, 1) for c in (0, 1)]
+    return [(v[k] - 1j * v[3 - k]) / _SQRT2 for k in range(4)]
 
 
 def final_state(p1: StrategyParams, p2: StrategyParams) -> np.ndarray:
     """|Psi> = J^dag (U1 x U2) J |00> as a 4-vector over |00>,|01>,|10>,|11>."""
-    u = np.kron(build_unitary(p1), build_unitary(p2))
-    return _J_DAG @ u @ _J[:, 0]
+    import numpy as np
+    return np.array(_statevector(p1, p2))
 
 
 def payoff_oracle(game: Bimatrix2, p1: StrategyParams, p2: StrategyParams) -> PayoffPair:
@@ -257,7 +265,7 @@ def payoff_oracle(game: Bimatrix2, p1: StrategyParams, p2: StrategyParams) -> Pa
     the classical payoffs as weights, so expectation values reduce to
     probability-weighted sums.
     """
-    probs = np.abs(final_state(p1, p2)) ** 2
+    probs = [abs(z) ** 2 for z in _statevector(p1, p2)]
     cells = (game.delta[0][0], game.delta[0][1], game.delta[1][0], game.delta[1][1])
     u1 = float(sum(w * float(p.u1) for w, p in zip(probs, cells)))
     u2 = float(sum(w * float(p.u2) for w, p in zip(probs, cells)))

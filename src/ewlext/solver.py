@@ -43,8 +43,6 @@ from functools import lru_cache
 from itertools import permutations
 from typing import Dict, Iterator, List, Tuple
 
-import numpy as np
-
 from .errors import DomainError, ExactnessError
 from .exactnum import EXACT, FLOAT_TOL, Angle, Field
 from .extensions import FAMILY_RULES
@@ -53,7 +51,6 @@ from .su2 import canonicalize
 
 
 UNCLASSIFIED = "UNCLASSIFIED"
-_PERMUTATIONS = np.array(list(permutations(range(4))))
 
 
 @dataclass(frozen=True)
@@ -172,6 +169,7 @@ def _coefficient_tables(thetas: List[Fraction], n: int, mode: str):
     values, so equal ids mean equal pairs; 'float' clusters doubles with
     Field.intern, so equal ids mean pairs within FLOAT_TOL componentwise.
     """
+    import numpy as np
     field = EXACT if mode == "exact" else Field(FLOAT_TOL)
     step = Fraction(2, n)
     opponents = [canonicalize(t, 0, 0) for t in thetas]
@@ -183,7 +181,7 @@ def _coefficient_tables(thetas: List[Fraction], n: int, mode: str):
                 player = canonicalize(tp, m * step, k * step)
                 for o, opponent in enumerate(opponents):
                     values[p, o, m, k] = coefficients(player, opponent, mode=mode)
-    ids = field.intern(values.ravel()).reshape(values.shape).astype(np.int64)
+    ids = np.asarray(field.intern(values.ravel()), dtype=np.int64).reshape(values.shape)
     size = ids.max() + 1
 
     def pair_ids(i, j):  # one compact id per pair of component ids
@@ -196,11 +194,12 @@ def _coefficient_tables(thetas: List[Fraction], n: int, mode: str):
     return xy, uv
 
 
-def _entry_table(xy, uv, states, n: int) -> np.ndarray:
+def _entry_table(xy, uv, states, n: int):
     """E[i, j]: the id of the coefficient vector of lattice strategy
     states[i] against states[j], where a state is (theta position * n +
     alpha index) * n + beta index.  Equal entries mean equal xy and uv ids.
     """
+    import numpy as np
     t, a, b = states // (n * n), states // n % n, states % n
     scale = int(uv.max()) + 1
     size = (int(xy.max()) + 1) * scale
@@ -226,6 +225,8 @@ def _slice_hits(th1: Fraction, n: int, mode: str) -> Iterator[Tuple[int, int, in
     closeness at FLOAT_TOL in mode 'float', so this is criterion_holds'
     rule: each class K of S receives |K| images.
     """
+    import numpy as np
+    perms = np.array(list(permutations(range(4))))
     thetas = list(dict.fromkeys((Fraction(0), Fraction(1), th1, 1 - th1)))
     pos = {t: i for i, t in enumerate(thetas)}
     grid_a, grid_b = np.indices((n, n)).reshape(2, -1)
@@ -249,7 +250,7 @@ def _slice_hits(th1: Fraction, n: int, mode: str) -> Iterator[Tuple[int, int, in
         members[:, 2], members[:, 6] = columns[2][u1], columns[6][u1]
         rows = table[members[:, :, None], members[:, None, :4]]
         match = (rows[:, 4:, None] == rows[:, None, :4]).all(axis=3)
-        holds = match[:, np.arange(4), _PERMUTATIONS].all(axis=2).any(axis=1)
+        holds = match[:, np.arange(4), perms].all(axis=2).any(axis=1)
         for u2 in np.flatnonzero(holds):
             yield (*divmod(u1, n), *divmod(int(u2), n))
 

@@ -8,11 +8,13 @@ import cmath
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-
-import numpy as np
+from typing import TYPE_CHECKING, Tuple
 
 from .errors import DomainError
 from .exactnum import Angle
+
+if TYPE_CHECKING:
+    import numpy as np
 
 UNITARITY_TOL = 1e-12
 
@@ -84,15 +86,18 @@ IDENTITY = canonicalize(0, 0, 0)
 IX = canonicalize(1, 0, 0)  # i * sigma_x
 
 
-def build_unitary(p: StrategyParams) -> np.ndarray:
-    """2x2 complex matrix of the strategy; special unitary by construction."""
+def unitary_entries(p: StrategyParams) -> Tuple[Tuple[complex, complex], ...]:
+    """Rows of the strategy's 2x2 matrix as plain complex numbers."""
     th, al, be = p.theta.to_radians(), p.alpha.to_radians(), p.beta.to_radians()
     c, s = math.cos(th / 2.0), math.sin(th / 2.0)
     ea, eb = cmath.exp(1j * al), cmath.exp(1j * be)
-    return np.array(
-        [[ea * c, 1j * eb * s], [1j * s / eb, c / ea]],
-        dtype=complex,
-    )
+    return ((ea * c, 1j * eb * s), (1j * s / eb, c / ea))
+
+
+def build_unitary(p: StrategyParams) -> np.ndarray:
+    """2x2 complex matrix of the strategy; special unitary by construction."""
+    import numpy as np
+    return np.array(unitary_entries(p), dtype=complex)
 
 
 def phi(p: StrategyParams) -> StrategyParams:

@@ -1,7 +1,13 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import ewlext
+from ewlext import Angle, enumerate_discrete_solutions
 from ewlext.cli import main
 
 PD_JSON = '{"payoffs": [[["3","3"],["0","5"]],[["5","0"],["1","1"]]]}'
@@ -222,6 +228,59 @@ def test_enumerate_summary(capsys):
     assert lines[0] == "theta1,alpha1,beta1,alpha2,beta2,class"
     assert len(lines) == 1 + 1024
     assert "A1=1024" in err
+
+
+# Imports ewlext and runs the one-game commands in a fresh interpreter; after
+# each step it reports the exit code and whether numpy and ewlext.solver are
+# loaded.
+_START_UP = """
+import contextlib, io, json, sys
+import ewlext, ewlext.cli
+game = sys.argv[1]
+cls = ["--class", "C", "--theta1", "1/3 pi", "--game", game]
+runs = [["extend", *cls, "--oracle-check"], ["verify", *cls],
+        ["equilibria", "--extend-first", *cls],
+        ["payoff", "--game", game, "--p1", "1/2 pi,1/2 pi,1/2 pi", "--p2", "0,0,0",
+         "--oracle-check"],
+        ["limits", "--game", game]]
+report = [["import", 0, "numpy" in sys.modules, "ewlext.solver" in sys.modules]]
+for argv in runs:
+    with contextlib.redirect_stdout(io.StringIO()):
+        code = ewlext.cli.main(argv)
+    report.append([argv[0], code, "numpy" in sys.modules, "ewlext.solver" in sys.modules])
+print(json.dumps(report))
+"""
+
+
+def test_one_game_commands_do_not_load_numpy(pd_file):
+    src = str(Path(ewlext.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run([sys.executable, "-c", _START_UP, pd_file],
+                          capture_output=True, text=True, env=env, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout) == [
+        [command, 0, False, True]
+        for command in ("import", "extend", "verify", "equilibria", "payoff", "limits")]
+
+
+def test_enumerate_half_pi_prints_the_reference_hits(capsys):
+    # the lattice kernel imports numpy on first use: each family's hits are
+    # its enumerated set, and the other 96 the mixed- and split-grid groups
+    code, out, _ = run(capsys, "enumerate", "--theta", "1/2 pi")
+    assert code == 0
+    lines = out.strip().splitlines()
+    assert lines[0] == "theta1,alpha1,beta1,alpha2,beta2,class"
+    hits = {}
+    for line in lines[1:]:
+        theta, *phases, label = line.split(",")
+        assert theta == "1/2 pi"
+        family = label if label == "UNCLASSIFIED" else label[0]
+        hits.setdefault(family, set()).add(tuple(Angle.parse(p).frac for p in phases))
+    assert sorted(hits) == ["B", "C", "D", "E", "UNCLASSIFIED"]
+    for family in "BCDE":
+        assert hits[family] == set(enumerate_discrete_solutions(family))
+    assert len(hits["UNCLASSIFIED"]) == 96
 
 
 def test_enumerate_theta_outside_q_sqrt2_is_input_error(capsys):

@@ -306,3 +306,19 @@ def test_both_constructions_give_equal_scalar_types(cid):
     for row_e, row_b in zip(ext.payoffs, built.payoffs):
         for cell_e, cell_b in zip(row_e, row_b):
             assert [type(v) for v in cell_e] == [type(v) for v in cell_b]
+
+
+def test_float_a_congruence_is_symmetric_about_multiples_of_pi():
+    # alpha1 + beta2 within 1e-12 of -pi or of pi, from either side.  Built
+    # directly: create reduces phases to [0, 2 pi), so it never sums to -pi.
+    zero = Angle.pi_frac(0)
+
+    def a1(alpha1, beta2):
+        return ClassParams(ClassId.A1, zero, Angle.radians(alpha1), zero, zero,
+                           Angle.radians(beta2))
+
+    for sign in (-1, 1):
+        for offset in (-1e-12, 1e-12):
+            a1(sign * 0.3, sign * (math.pi - 0.3) + offset).validate()
+        with pytest.raises(InvalidClassParams, match=r"violated alpha1 \+ beta2 = n pi"):
+            a1(sign * 0.3, sign * (math.pi - 0.3) + 1e-6).validate()

@@ -2,6 +2,7 @@ import math
 from fractions import Fraction
 from itertools import combinations
 
+import numpy as np
 import pytest
 
 from ewlext import (
@@ -12,6 +13,7 @@ from ewlext import (
     IX,
     PRISONERS_DILEMMA,
     Q2,
+    build_unitary,
     canonicalize,
     coefficients,
     payoff_closed_form,
@@ -185,3 +187,25 @@ def test_game_json_round_trip():
     again = Bimatrix2.from_json(game.to_json())
     assert again == game
     assert again.to_json() == game.to_json()
+
+
+def _kron_states(first, second):
+    """J^dag (U1 x U2) J |00> for every U1 in first and U2 in second, from 4x4
+    matrices: np.kron of build_unitary, with U1 x U2 = (U1 x 1)(1 x U2)."""
+    sx, one = np.array([[0, 1], [1, 0]]), np.eye(2)
+    j = (np.eye(4) + 1j * np.kron(sx, sx)) / math.sqrt(2.0)
+    left = np.array([np.kron(build_unitary(p), one) for p in first])
+    right = np.array([np.kron(one, build_unitary(p)) for p in second])
+    return np.einsum("ab,ibc,jcd,d->ija", j.conj().T, left, right, j[:, 0], optimize=True)
+
+
+def test_final_state_matches_the_kronecker_product(rng):
+    for _ in range(200):
+        p1, p2 = random_float_params(rng), random_float_params(rng)
+        state = final_state(p1, p2)
+        assert isinstance(state, np.ndarray) and state.shape == (4,)
+        assert np.abs(state - _kron_states([p1], [p2])[0, 0]).max() <= 1e-14
+    lattice = [canonicalize(theta, Fraction(a, 4), Fraction(b, 4))
+               for theta in (0, Fraction(1, 2), 1) for a in range(8) for b in range(8)]
+    states = np.array([[final_state(p1, p2) for p2 in lattice] for p1 in lattice])
+    assert np.abs(states - _kron_states(lattice, lattice)).max() <= 1e-14
