@@ -106,13 +106,22 @@ def _emit(args, text: str) -> None:
         print(text)
 
 
+def _oracle_disagrees(game: Bimatrix2, p, q, got: PayoffPair) -> Optional[PayoffPair]:
+    """The statevector payoffs of (p, q) if the closed-form payoffs got are
+    more than ORACLE_TOL away from them, else None."""
+    ref = payoff_oracle(game, p, q)
+    if (abs(float(got.u1) - ref.u1) > ORACLE_TOL
+            or abs(float(got.u2) - ref.u2) > ORACLE_TOL):
+        return ref
+    return None
+
+
 def _oracle_check_extension(game: Bimatrix2, strategies, ext: ExtendedGame) -> None:
     for i, p in enumerate(strategies):
         for j, q in enumerate(strategies):
-            ref = payoff_oracle(game, p, q)
             got = ext.payoffs[i][j]
-            if (abs(float(got.u1) - ref.u1) > ORACLE_TOL
-                    or abs(float(got.u2) - ref.u2) > ORACLE_TOL):
+            ref = _oracle_disagrees(game, p, q, got)
+            if ref is not None:
                 raise InputError(
                     f"oracle mismatch at ({ext.labels[i]}, {ext.labels[j]}): "
                     f"closed form {float(got.u1)}, {float(got.u2)} vs "
@@ -236,14 +245,12 @@ def cmd_payoff(args) -> int:
         raise InputError(f"malformed strategy params: {exc}") from exc
     pay = payoff_closed_form(game, p1, p2, mode=args.mode)
     coeff = coefficients(p1, p2, mode=args.mode)
-    if args.oracle_check:
-        ref = payoff_oracle(game, p1, p2)
-        if (abs(float(pay.u1) - ref.u1) > ORACLE_TOL
-                or abs(float(pay.u2) - ref.u2) > ORACLE_TOL):
-            raise InputError(
-                f"oracle mismatch: closed form ({float(pay.u1)}, {float(pay.u2)}) "
-                f"vs statevector ({ref.u1}, {ref.u2})"
-            )
+    ref = _oracle_disagrees(game, p1, p2, pay) if args.oracle_check else None
+    if ref is not None:
+        raise InputError(
+            f"oracle mismatch: closed form ({float(pay.u1)}, {float(pay.u2)}) "
+            f"vs statevector ({ref.u1}, {ref.u2})"
+        )
     _emit(args, json.dumps({
         "u1": format_scalar(pay.u1),
         "u2": format_scalar(pay.u2),

@@ -99,11 +99,11 @@ def _group_rows(rows, field: Field) -> Tuple[Tuple[int, ...], ...]:
 
 
 def partition(strategies: Sequence[StrategyParams], side: str = "row",
-              mode: str = "auto", tol: float = FLOAT_TOL) -> EquivClassPartition:
+              mode: str = "auto") -> EquivClassPartition:
     """Partition a finite strategy set into payoff-equivalence classes,
     with the set itself as the opponent universe."""
     if not strategies:
         raise ValueError("strategies must be nonempty")
     rows = [coefficient_row(p, strategies, side=side, mode=mode) for p in strategies]
-    field = Field.of((x for row in rows for v in row for x in v), mode, tol)
+    field = Field.of((x for row in rows for v in row for x in v), mode)
     return EquivClassPartition(_group_rows(rows, field))

@@ -13,7 +13,7 @@ import math
 import re
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from typing import Dict, List, Optional, Union
 
 from .errors import DomainError, ExactnessError, ToleranceError
@@ -290,6 +290,14 @@ class Angle:
     def __neg__(self) -> "Angle":
         return Angle(-self.value)
 
+    def __rmul__(self, k: int) -> "Angle":
+        return Angle(k * self.value)
+
+    @cached_property
+    def pi_units(self) -> float:
+        """The angle over pi, as a float."""
+        return float(self.value) if self.is_exact else self.value / math.pi
+
     def format(self) -> str:
         """Inverse of parse: 'k/m pi' for exact angles, repr-float otherwise."""
         if not self.is_exact:
@@ -308,6 +316,19 @@ class Angle:
 
 
 ANGLE_PI = Angle.pi_frac(1)
+
+
+def angle_cos(a: Angle) -> Union[Q2, float]:
+    """cos(a): exact in Q(sqrt(2)) when a is an exact angle whose cosine
+    lies there, a float otherwise.  The one place where exact trigonometry
+    falls back to floats value by value; payoff.coefficients falls back by
+    whole vectors instead."""
+    if a.is_exact:
+        try:
+            return exact_cos(a.value)
+        except ExactnessError:
+            pass
+    return math.cos(a.to_radians())
 
 
 # -- comparing scalars, exactly or within a tolerance -------------------------

@@ -15,8 +15,8 @@ from enum import Enum
 from fractions import Fraction
 from typing import List, Optional, Sequence, Tuple
 
-from .errors import ExactnessError, InvalidClassParams, NotDiscreteError
-from .exactnum import ANGLE_PI, Angle, exact_cos, normalize
+from .errors import InvalidClassParams, NotDiscreteError
+from .exactnum import ANGLE_PI, Angle, angle_cos, normalize
 from .invariance import ExtendedGame, _block_matrix, default_labels
 from .payoff import Bimatrix2
 from .su2 import IDENTITY, IX, StrategyParams, canonicalize
@@ -273,16 +273,6 @@ def strategy_set(p: ClassParams) -> List[StrategyParams]:
     return [IDENTITY, IX, u1, u2]
 
 
-def _t_value(p: ClassParams):
-    """t = cos^2(theta1 / 2), exact when the angle permits."""
-    if p.theta1.is_exact:
-        try:
-            return (1 + exact_cos(p.theta1.frac)) * _HALF
-        except ExactnessError:
-            pass
-    return (1.0 + math.cos(p.theta1.to_radians())) / 2.0
-
-
 def _blocks(p: ClassParams):
     """Coefficient 4-vectors (over Gamma^0..Gamma^3) for the four 2x2 blocks."""
     cid = p.class_id
@@ -290,22 +280,14 @@ def _blocks(p: ClassParams):
     e = (one, zero, zero, zero)
     if cid in (ClassId.A1, ClassId.A2):
         phase = p.alpha1 if cid is ClassId.A1 else p.alpha2
-        a = b = None
-        if phase.is_exact:
-            try:
-                a = normalize((1 + exact_cos(2 * phase.frac)) * _HALF)  # cos^2
-                b = normalize((1 + exact_cos(4 * phase.frac)) * _HALF)  # doubled angle
-            except ExactnessError:
-                a = b = None
-        if a is None:
-            a = math.cos(phase.to_radians()) ** 2
-            b = math.cos(2 * phase.to_radians()) ** 2
+        a = normalize((1 + angle_cos(2 * phase)) * _HALF)  # cos^2
+        b = normalize((1 + angle_cos(4 * phase)) * _HALF)  # doubled angle
         ap, bp = 1 - a, 1 - b
         if cid is ClassId.A1:
             f = (a, zero, zero, ap)
             return e, f, f, (b, zero, zero, bp)
         return e, (zero, ap, a, zero), (zero, a, ap, zero), (bp, zero, zero, b)
-    t = _t_value(p)
+    t = (1 + angle_cos(p.theta1)) * _HALF  # cos^2(theta1 / 2)
     tp = 1 - t
     if cid is ClassId.B:
         q = Fraction(1, 4)

@@ -12,7 +12,7 @@ from typing import List, Optional, Sequence, Tuple
 
 from .equivalence import _group_rows, coefficient_row
 from .errors import DimensionMismatchError
-from .exactnum import EXACT, FLOAT_TOL, Field, normalize
+from .exactnum import EXACT, Field, normalize
 from .payoff import (Bimatrix2, PayoffPair, format_grid, format_scalar, parse_grid,
                      payoff_closed_form)
 from .su2 import StrategyParams, phi
@@ -87,18 +87,15 @@ class ExtendedGame:
 
 
 def build_extended_game(game: Bimatrix2, strategies: Sequence[StrategyParams],
-                        labels: Optional[Sequence[str]] = None,
                         mode: str = "auto") -> ExtendedGame:
     """Payoff bimatrix of the quantized game over a finite strategy set."""
     if not strategies:
         raise ValueError("strategies must be nonempty")
-    if labels is None:
-        labels = default_labels(len(strategies))
     grid = tuple(
         tuple(payoff_closed_form(game, p, q, mode=mode) for q in strategies)
         for p in strategies
     )
-    return ExtendedGame(tuple(labels), grid)
+    return ExtendedGame(default_labels(len(strategies)), grid)
 
 
 def default_labels(n: int) -> Tuple[str, ...]:
@@ -176,8 +173,8 @@ class CriterionReport:
         }
 
 
-def criterion_holds(strategies: Sequence[StrategyParams], mode: str = "auto",
-                    tol: float = FLOAT_TOL) -> CriterionReport:
+def criterion_holds(strategies: Sequence[StrategyParams],
+                    mode: str = "auto") -> CriterionReport:
     """Executable form of the quotient criterion: the family of equivalence
     classes of S must coincide with the family of classes of phi(S).
 
@@ -189,7 +186,7 @@ def criterion_holds(strategies: Sequence[StrategyParams], mode: str = "auto",
     """
     rows = [coefficient_row(s, strategies, mode=mode) for s in strategies]
     phi_rows = [coefficient_row(phi(s), strategies, mode=mode) for s in strategies]
-    field = Field.of((x for row in rows + phi_rows for v in row for x in v), mode, tol)
+    field = Field.of((x for row in rows + phi_rows for v in row for x in v), mode)
     classes = _group_rows(rows, field)
     image = tuple(
         next((k for k, cls in enumerate(classes)

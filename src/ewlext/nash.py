@@ -95,7 +95,6 @@ class Equilibrium:
 class EquilibriumReport:
     equilibria: Tuple[Equilibrium, ...]
     degenerate: bool = False
-    degenerate_supports: Tuple = ()
 
     def to_json(self, labels: Optional[Sequence[str]] = None) -> list:
         return [e.to_json(labels) for e in self.equilibria]
@@ -110,20 +109,19 @@ def _payoff_grids(g: ExtendedGame, field: Field):
     return u1, u2
 
 
-def pure_equilibria(g: ExtendedGame, tol: float = 0.0) -> List[Tuple[int, int]]:
+def pure_equilibria(g: ExtendedGame) -> List[Tuple[int, int]]:
     """All cells that are simultaneously a best response for both players.
 
-    Ties are included.  With tol = 0 comparisons are exact.
+    Ties are included.  Entries compare exactly, floats without a tolerance.
     """
-    field = Field(tol) if tol > 0.0 else EXACT
-    u1, u2 = _payoff_grids(g, field)
+    u1, u2 = _payoff_grids(g, EXACT)
     n = g.n
     out = []
     for i in range(n):
         for j in range(n):
             col_max = max(u1[k][j] for k in range(n))
             row_max = max(u2[i][k] for k in range(n))
-            if not (field.exceeds(col_max, u1[i][j]) or field.exceeds(row_max, u2[i][j])):
+            if not (col_max > u1[i][j] or row_max > u2[i][j]):
                 out.append((i, j))
     return out
 
@@ -174,15 +172,14 @@ def _indifference_solution(values, support, other_support, linear, field):
     return (probs, v), degenerate
 
 
-def mixed_equilibria(g: ExtendedGame, mode: str = "auto",
-                     tol: float = DEVIATION_TOL) -> EquilibriumReport:
+def mixed_equilibria(g: ExtendedGame, mode: str = "auto") -> EquilibriumReport:
     """All Nash equilibria found by support enumeration.
 
     Pure equilibria appear as singleton supports.  Support pairs whose
     indifference system is singular but solvable are flagged degenerate;
     one member of the family is sampled, the family is not enumerated.
     The arithmetic is exact when mode is not 'float' and every entry is
-    exact, else float: elimination at PIVOT_TOL, deviations at tol.
+    exact, else float: elimination at PIVOT_TOL, deviations at DEVIATION_TOL.
     """
     n = g.n
     if n > 6:
@@ -193,11 +190,11 @@ def mixed_equilibria(g: ExtendedGame, mode: str = "auto",
                       mode, PIVOT_TOL)
     if mode == "exact" and not linear.exact:
         raise ExactnessError("exact mode requires exact game entries")
-    field = linear if linear.exact else Field(tol)
+    field = linear if linear.exact else Field(DEVIATION_TOL)
     u1, u2 = _payoff_grids(g, linear)
 
     found = {}
-    degenerate_supports = []
+    degenerate = False
     u2_t = [[u2[i][j] for i in range(n)] for j in range(n)]
     all_supports = [
         s for size in range(1, n + 1) for s in combinations(range(n), size)
@@ -225,11 +222,11 @@ def mixed_equilibria(g: ExtendedGame, mode: str = "auto",
                 continue
             # An underdetermined system that nevertheless produced an
             # equilibrium with full support on the candidate sets evidences
-            # a solution family: record the sample, do not enumerate.
+            # a solution family: keep the sample, do not enumerate.
             if (q_deg or p_deg) and all(
                 not linear.is_zero(q_full[c]) for c in cols_supp
             ) and all(not linear.is_zero(p_full[r]) for r in rows_supp):
-                degenerate_supports.append((rows_supp, cols_supp))
+                degenerate = True
             key = tuple(map(field.key, p_full + q_full))
             if key not in found:
                 supports = (
@@ -248,10 +245,10 @@ def mixed_equilibria(g: ExtendedGame, mode: str = "auto",
         key=lambda e: (e.supports, tuple(float(v) for v in e.profile.p1),
                        tuple(float(v) for v in e.profile.p2)),
     )
-    degenerate = bool(degenerate_supports) or any(
+    degenerate = degenerate or any(
         _excess_best_responses(u1, u2, e, field) for e in ordered
     )
-    return EquilibriumReport(tuple(ordered), degenerate, tuple(degenerate_supports))
+    return EquilibriumReport(tuple(ordered), degenerate)
 
 
 def _excess_best_responses(u1, u2, eq: "Equilibrium", field) -> bool:
@@ -279,14 +276,13 @@ def _best_response_ok(u1, u2, p_full, q_full, v1, v2, rows_supp, cols_supp, fiel
     return True
 
 
-def verify_equilibrium(g: ExtendedGame, eq: Equilibrium,
-                       tol: float = DEVIATION_TOL) -> bool:
+def verify_equilibrium(g: ExtendedGame, eq: Equilibrium) -> bool:
     """Independent no-profitable-deviation check against all pure strategies."""
     vals1 = best_response_values(g, eq.profile.p2, side="row")
     vals2 = best_response_values(g, eq.profile.p1, side="col")
     u1 = sum(v * p for v, p in zip(vals1, eq.profile.p1))
     u2 = sum(v * p for v, p in zip(vals2, eq.profile.p2))
     return (
-        all(float(u1) >= float(v) - tol for v in vals1)
-        and all(float(u2) >= float(v) - tol for v in vals2)
+        all(float(u1) >= float(v) - DEVIATION_TOL for v in vals1)
+        and all(float(u2) >= float(v) - DEVIATION_TOL for v in vals2)
     )

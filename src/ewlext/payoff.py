@@ -16,7 +16,7 @@ from functools import lru_cache
 from typing import TYPE_CHECKING, List, NamedTuple, Tuple, Union
 
 from .errors import DimensionMismatchError, DomainError, ExactnessError
-from .exactnum import Q2, Field, exact_cos, exact_sin, normalize, scalar_is_exact
+from .exactnum import Q2, Field, exact_cos, normalize, scalar_is_exact
 from .su2 import StrategyParams, unitary_entries
 
 if TYPE_CHECKING:
@@ -129,7 +129,7 @@ class Bimatrix2:
 PRISONERS_DILEMMA = Bimatrix2.from_rows([[(3, 3), (0, 5)], [(5, 0), (1, 1)]])
 
 
-# -- coefficient vector, exact path -----------------------------------------
+# -- coefficient vector: one closed form, exact or float ---------------------
 #
 # Writing x = a1+a2, y = b1+b2, u = a1-b2, v = a2-b1 the four squared
 # amplitudes expand into products of full-angle cosines/sines only:
@@ -141,14 +141,20 @@ PRISONERS_DILEMMA = Bimatrix2.from_rows([[(3, 3), (0, 5)], [(5, 0), (1, 1)]])
 #
 # with CC = cos^2(t1/2)cos^2(t2/2), SS, CS, SC analogous and
 # W = sin t1 sin t2 / 4 (theta/2 in [0, pi/2], so the products carry no sign).
+# Angles are in units of pi, and the expansion is written once over a cosine
+# k -> cos(k*pi): exact_cos, in Q(sqrt(2)), or _float_cos, in doubles.
+
+
+def _float_cos(k: float) -> float:
+    return math.cos(k * math.pi)
 
 
 @lru_cache(maxsize=1024)
-def _theta_weights(t1: Fraction, t2: Fraction) -> Tuple[Q2, Q2, Q2, Q2, Q2]:
+def _theta_weights(cos, t1, t2) -> tuple:
     """CC, SS, CS, SC and 2W of the expansion above: the factors that depend
     on the thetas only."""
-    c1, c2 = exact_cos(t1), exact_cos(t2)
-    s1s2 = (exact_cos(t1 - t2) - exact_cos(t1 + t2)) * _HALF
+    c1, c2 = cos(t1), cos(t2)
+    s1s2 = (cos(t1 - t2) - cos(t1 + t2)) * _HALF
     cc = (1 + c1) * (1 + c2) * _QUARTER
     ss = (1 - c1) * (1 - c2) * _QUARTER
     cs = (1 + c1) * (1 - c2) * _QUARTER
@@ -156,44 +162,30 @@ def _theta_weights(t1: Fraction, t2: Fraction) -> Tuple[Q2, Q2, Q2, Q2, Q2]:
     return cc, ss, cs, sc, s1s2 * _HALF
 
 
-@lru_cache(maxsize=1024)
-def _sq_cos(k: Fraction) -> Q2:  # cos^2(k*pi)
-    return (1 + exact_cos(2 * k)) * _HALF
-
-
-@lru_cache(maxsize=1024)
-def _sq_sin(k: Fraction) -> Q2:
-    return (1 - exact_cos(2 * k)) * _HALF
-
-
 @lru_cache(maxsize=4096)
-def _cos_sin(k: Fraction, m: Fraction) -> Q2:  # cos(k*pi) sin(m*pi)
-    return (exact_sin(k + m) - exact_sin(k - m)) * _HALF
+def _phase_terms(cos, x, y) -> tuple:
+    """The phase factors of one pair of components, for (x, y) or (u, v):
+    cos^2 x, cos x sin y, sin^2 y (c00 or c01), then sin^2 x, sin x cos y,
+    cos^2 y (c11 or c10)."""
+    c2x, c2y = cos(2 * x), cos(2 * y)
+    sin_sum, sin_diff = cos(_HALF - x - y), cos(_HALF - x + y)  # sin(x +- y)
+    return ((1 + c2x) * _HALF, (sin_sum - sin_diff) * _HALF, (1 - c2y) * _HALF,
+            (1 - c2x) * _HALF, (sin_sum + sin_diff) * _HALF, (1 + c2y) * _HALF)
+
+
+def _closed_form(cos, t1, a1, b1, t2, a2, b2) -> tuple:
+    """c00, c01, c10, c11 of the expansion above."""
+    cc, ss, cs, sc, w2 = _theta_weights(cos, t1, t2)
+    p00, w00, q00, p11, w11, q11 = _phase_terms(cos, a1 + a2, b1 + b2)
+    p01, w01, q01, p10, w10, q10 = _phase_terms(cos, a1 - b2, a2 - b1)
+    return (p00 * cc + w00 * w2 + q00 * ss, p01 * cs + w01 * w2 + q01 * sc,
+            p10 * cs + w10 * w2 + q10 * sc, p11 * cc - w11 * w2 + q11 * ss)
 
 
 @lru_cache(maxsize=1 << 18)
 def _coefficients_exact(t1: Fraction, a1: Fraction, b1: Fraction,
                         t2: Fraction, a2: Fraction, b2: Fraction) -> CoefficientVector:
-    cc, ss, cs, sc, w2 = _theta_weights(t1, t2)
-    x, y = a1 + a2, b1 + b2
-    u, v = a1 - b2, a2 - b1
-    c00 = _sq_cos(x) * cc + _cos_sin(x, y) * w2 + _sq_sin(y) * ss
-    c11 = _sq_sin(x) * cc - _cos_sin(y, x) * w2 + _sq_cos(y) * ss
-    c01 = _sq_cos(u) * cs + _cos_sin(u, v) * w2 + _sq_sin(v) * sc
-    c10 = _sq_sin(u) * cs + _cos_sin(v, u) * w2 + _sq_cos(v) * sc
-    return CoefficientVector(c00, c01, c10, c11)
-
-
-def _coefficients_float(p1: StrategyParams, p2: StrategyParams) -> CoefficientVector:
-    t1, a1, b1 = (p1.theta.to_radians(), p1.alpha.to_radians(), p1.beta.to_radians())
-    t2, a2, b2 = (p2.theta.to_radians(), p2.alpha.to_radians(), p2.beta.to_radians())
-    c1, s1 = math.cos(t1 / 2), math.sin(t1 / 2)
-    c2, s2 = math.cos(t2 / 2), math.sin(t2 / 2)
-    a00 = math.cos(a1 + a2) * c1 * c2 + math.sin(b1 + b2) * s1 * s2
-    a01 = math.cos(a1 - b2) * c1 * s2 + math.sin(a2 - b1) * s1 * c2
-    a10 = math.sin(a1 - b2) * c1 * s2 + math.cos(a2 - b1) * s1 * c2
-    a11 = math.sin(a1 + a2) * c1 * c2 - math.cos(b1 + b2) * s1 * s2
-    return CoefficientVector(a00 * a00, a01 * a01, a10 * a10, a11 * a11)
+    return CoefficientVector(*_closed_form(exact_cos, t1, a1, b1, t2, a2, b2))
 
 
 def coefficients(p1: StrategyParams, p2: StrategyParams,
@@ -202,7 +194,8 @@ def coefficients(p1: StrategyParams, p2: StrategyParams,
 
     mode 'exact' demands angles whose trigonometry closes in Q(sqrt(2)) and
     raises ExactnessError otherwise; 'float' always uses doubles; 'auto'
-    uses exact arithmetic when the inputs allow it.
+    uses exact arithmetic when the inputs allow it.  Float components are
+    clamped at 0, which rounding in the expansion can undercut by ~1e-16.
     """
     if mode not in ("auto", "exact", "float"):
         raise ValueError(f"unknown mode {mode!r}")
@@ -217,7 +210,10 @@ def coefficients(p1: StrategyParams, p2: StrategyParams,
                 raise
     elif mode == "exact":
         raise ExactnessError("exact mode needs exact rational-of-pi angles")
-    return _coefficients_float(p1, p2)
+    c00, c01, c10, c11 = _closed_form(
+        _float_cos, p1.theta.pi_units, p1.alpha.pi_units, p1.beta.pi_units,
+        p2.theta.pi_units, p2.alpha.pi_units, p2.beta.pi_units)
+    return CoefficientVector(max(c00, 0.0), max(c01, 0.0), max(c10, 0.0), max(c11, 0.0))
 
 
 # -- payoffs -----------------------------------------------------------------

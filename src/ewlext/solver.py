@@ -51,6 +51,7 @@ from .su2 import canonicalize
 
 
 UNCLASSIFIED = "UNCLASSIFIED"
+RELATION_TOL = 1e-12  # check_relations: |lhs - rhs| at most this holds
 
 
 @dataclass(frozen=True)
@@ -313,8 +314,7 @@ class RelationReport:
                 "lhs": self.lhs, "rhs": self.rhs}
 
 
-def check_relations(theta1, alpha1, beta1, alpha2, beta2,
-                    tol: float = 1e-12) -> List[RelationReport]:
+def check_relations(theta1, alpha1, beta1, alpha2, beta2) -> List[RelationReport]:
     """Evaluate the named parameter relations on one tuple.
 
     The relations characterise the named families A-E: every family tuple
@@ -334,11 +334,11 @@ def check_relations(theta1, alpha1, beta1, alpha2, beta2,
     out: List[RelationReport] = []
 
     def rel(name, lhs, rhs):
-        out.append(RelationReport(name, abs(lhs - rhs) <= tol, lhs, rhs))
+        out.append(RelationReport(name, abs(lhs - rhs) <= RELATION_TOL, lhs, rhs))
 
-    boundary = min(abs(th1), abs(th1 - math.pi)) <= tol
+    boundary = min(abs(th1), abs(th1 - math.pi)) <= RELATION_TOL
     if boundary:
-        if abs(th1) <= tol:  # theta1 = 0: residual chain in alpha1, beta2
+        if abs(th1) <= RELATION_TOL:  # theta1 = 0: residual chain in alpha1, beta2
             x, y = a1, b2
         else:  # theta1 = pi: mirrored roles
             x, y = a2, b1

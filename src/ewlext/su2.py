@@ -7,16 +7,15 @@ from __future__ import annotations
 import cmath
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import TYPE_CHECKING, Tuple
 
 from .errors import DomainError
-from .exactnum import Angle
+from .exactnum import ANGLE_PI, Angle
 
 if TYPE_CHECKING:
     import numpy as np
 
-UNITARITY_TOL = 1e-12
+_TWO_PI = Angle.pi_frac(2)
 
 
 @dataclass(frozen=True)
@@ -106,15 +105,4 @@ def phi(p: StrategyParams) -> StrategyParams:
     Extensions of a game and of its row-swapped variant assign equal payoffs
     to (U1, U2) and (phi(U1), U2); analogously for column and double swaps.
     """
-    if p.is_exact:
-        one = Fraction(1)
-        return canonicalize(
-            Angle.pi_frac(one - p.theta.frac),
-            Angle.pi_frac(2 - p.beta.frac),
-            Angle.pi_frac(one - p.alpha.frac),
-        )
-    return canonicalize(
-        Angle.radians(math.pi - p.theta.to_radians()),
-        Angle.radians(2.0 * math.pi - p.beta.to_radians()),
-        Angle.radians(math.pi - p.alpha.to_radians()),
-    )
+    return canonicalize(ANGLE_PI - p.theta, _TWO_PI - p.beta, ANGLE_PI - p.alpha)

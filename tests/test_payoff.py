@@ -1,6 +1,6 @@
 import math
 from fractions import Fraction
-from itertools import combinations
+from itertools import chain, combinations
 
 import numpy as np
 import pytest
@@ -96,6 +96,36 @@ def test_oracle_matches_exact_path(rng):
         assert abs(float(a.u2) - b.u2) <= 1e-10
 
 
+# theta sets whose pairs keep the trigonometry in Q(sqrt(2)), and the pi/8 grid
+EXACT_THETAS = ((0, Q, Fraction(1, 2), Fraction(3, 4), 1),
+                (0, Fraction(1, 3), Fraction(2, 3), 1))
+EIGHTH_THETAS = (tuple(Fraction(k, 8) for k in range(9)),)
+
+
+def _lattice_pairs(step, theta_sets, joint):
+    """(p1, p2) with both thetas from one of theta_sets and every phase of p1
+    on the multiples of step * pi.
+
+    The coefficients depend on the phases only through x = a1+a2, y = b1+b2
+    (c00, c11) and u = a1-b2, v = a2-b1 (c01, c10).  So p2 = (theta2, 0, 0)
+    already gives each component every value it takes on the lattice, and
+    joint=True, with beta2 free as well, reaches every (x, y, u, v), since
+    x - u = y + v.
+    """
+    n = int(2 / step)
+    for thetas in theta_sets:
+        for t1 in thetas:
+            firsts = [canonicalize(t1, a * step, b * step) for a in range(n) for b in range(n)]
+            for t2 in thetas:
+                for b in range(n if joint else 1):
+                    p2 = canonicalize(t2, 0, b * step)
+                    yield from ((p1, p2) for p1 in firsts)
+
+
+def _swapped(c):
+    return (c.c00, c.c10, c.c01, c.c11)
+
+
 def test_coefficients_normalized(rng):
     for _ in range(300):
         p1, p2 = random_float_params(rng), random_float_params(rng)
@@ -108,6 +138,21 @@ def test_coefficients_normalized(rng):
         assert all(not isinstance(x, float) for x in c)
         assert all(Q2.coerce(x) >= 0 for x in c)
         assert sum((Q2.coerce(x) for x in c), Q2(0)) == 1
+    # the float expansion on the pi/4 and pi/8 lattices, where terms cancel
+    # to zero: rounding must not take a component below 0
+    for p1, p2 in chain(_lattice_pairs(Q, EXACT_THETAS, joint=True),
+                        _lattice_pairs(Fraction(1, 8), EIGHTH_THETAS, joint=False)):
+        c = coefficients(p1, p2, mode="float")
+        assert all(x >= 0.0 for x in c)
+        assert abs(sum(c) - 1.0) <= 1e-12
+    # float against exact, and the player swap c(q, p) = (c00, c10, c01, c11)
+    # of c(p, q), exactly and in float
+    for p1, p2 in _lattice_pairs(Q, EXACT_THETAS, joint=False):
+        exact, flt = coefficients(p1, p2, mode="exact"), coefficients(p1, p2, mode="float")
+        assert all(abs(x - float(e)) <= 1e-12 for x, e in zip(flt, exact))
+        assert tuple(coefficients(p2, p1, mode="exact")) == _swapped(exact)
+        swapped = coefficients(p2, p1, mode="float")
+        assert all(abs(x - y) <= 1e-12 for x, y in zip(swapped, _swapped(flt)))
 
 
 def _shifted(p, d_alpha, d_beta):
