@@ -2,7 +2,7 @@
 construction, isomorphism-invariance verification, exact extension
 bimatrices for the permissible families, and Nash equilibrium solving.
 numpy is imported only inside the functions that build arrays (the lattice
-search, float interning, matrices), so `import ewlext` does not load it.
+search, matrices), so `import ewlext` does not load it.
 """
 
 from .equivalence import (
@@ -20,7 +20,7 @@ from .errors import (
     NotDiscreteError,
     ToleranceError,
 )
-from .exactnum import Angle, Q2, exact_cos, exact_sin
+from .exactnum import Angle, Q2, exact_cos
 from .extensions import (
     ClassId,
     ClassParams,
@@ -99,7 +99,6 @@ __all__ = [
     "criterion_holds",
     "enumerate_discrete_solutions",
     "exact_cos",
-    "exact_sin",
     "extension_matrix",
     "iso_variant",
     "block_combination_invariant",

@@ -302,11 +302,13 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_common(p, game_required=True):
-        p.add_argument("--game", required=game_required,
+    def add_common(p, mode=True, formats=False):
+        p.add_argument("--game", required=True,
                        help="path to a game JSON file, or inline JSON")
-        p.add_argument("--mode", choices=("exact", "float"), default="exact")
-        p.add_argument("--format", choices=("json", "csv", "pretty"), default="json")
+        if mode:
+            p.add_argument("--mode", choices=("exact", "float"), default="exact")
+        if formats:
+            p.add_argument("--format", choices=("json", "csv", "pretty"), default="json")
         p.add_argument("--output", help="write to file instead of stdout")
 
     def add_class_params(p):
@@ -321,7 +323,7 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--set", help="explicit JSON list of strategy parameter triples")
 
     p = sub.add_parser("extend", help="materialize a 4x4 extension bimatrix")
-    add_common(p)
+    add_common(p, formats=True)
     add_class_params(p)
     p.add_argument("--oracle-check", action="store_true",
                    help="recompute every entry via the statevector and compare")
@@ -339,10 +341,10 @@ def build_parser() -> argparse.ArgumentParser:
                    help="phase lattice step in units of pi")
     p.add_argument("--mode", choices=("exact", "float"), default="exact")
     p.add_argument("--output", help="write CSV to file instead of stdout")
-    p.set_defaults(func=cmd_enumerate, format="csv")
+    p.set_defaults(func=cmd_enumerate)
 
     p = sub.add_parser("equilibria", help="pure and mixed Nash equilibria")
-    add_common(p)
+    add_common(p, formats=True)
     add_class_params(p)
     p.add_argument("--extend-first", action="store_true",
                    help="extend the classical game before solving")
@@ -357,7 +359,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_payoff)
 
     p = sub.add_parser("limits", help="D/E to A convergence table (CSV)")
-    add_common(p)
+    add_common(p, mode=False)
     p.add_argument("--epsilons", nargs="+", default=["1e-1", "1e-2", "1e-3",
                                                      "1e-4", "1e-5", "1e-6"],
                    help="offsets of theta1 from the limit point")

@@ -6,6 +6,15 @@ players in *every* game, which is the notion the invariance criterion needs.
 A game-specific comparison would accept spurious equivalences on degenerate
 games.
 
+Player 1's vectors c(p, o) suffice: c(o, p) is c(p, o) with c01 and c10
+swapped, so player 2's side yields the same classes.
+
+Two rows of vectors are equal iff their row_keys are: every slot (opponent x
+component) is interned across the rows by Field.intern, the rule that
+criterion_holds, strongly_isomorphic and the lattice search also use.  A
+float comparison whose values fall between tol/100 and 100 tol raises
+ToleranceError instead of a verdict that hangs on rounding.
+
 The opponent set is a parameter.  The quotient criterion uses the game's own
 finite strategy set; callers wanting the stricter notion can pass
 random_su2_opponents(...) instead.
@@ -37,21 +46,27 @@ def random_su2_opponents(count: int, seed: int = 0) -> List[StrategyParams]:
 
 
 def coefficient_row(p: StrategyParams, opponents: Sequence[StrategyParams],
-                    side: str = "row", mode: str = "auto") -> Tuple[CoefficientVector, ...]:
-    """Coefficient vectors of p against each opponent.
+                    mode: str = "auto") -> Tuple[CoefficientVector, ...]:
+    """Coefficient vectors c(p, o) of p against each opponent o."""
+    return tuple(coefficients(p, o, mode=mode) for o in opponents)
 
-    side 'row' treats p as a player-1 strategy (vectors c(p, o)); side 'col'
-    treats it as a player-2 strategy (vectors c(o, p)).
+
+def row_keys(rows, mode: str = "auto", tol: float = FLOAT_TOL) -> List[Tuple[int, ...]]:
+    """One tuple of ids per row of coefficient vectors: two rows are equal
+    iff their keys are.
+
+    Each slot (opponent x component) is interned across the rows by the
+    Field of their entries, so a float field raises ToleranceError unless
+    the values of every slot fall into clusters at most tol/100 wide and at
+    least 100 tol apart.
     """
-    if side == "row":
-        return tuple(coefficients(p, o, mode=mode) for o in opponents)
-    if side == "col":
-        return tuple(coefficients(o, p, mode=mode) for o in opponents)
-    raise ValueError(f"side must be 'row' or 'col', got {side!r}")
+    flat = [[x for v in row for x in v] for row in rows]
+    field = Field.of((x for row in flat for x in row), mode, tol)
+    return list(zip(*(field.intern(slot) for slot in zip(*flat))))
 
 
 def are_equivalent(p: StrategyParams, q: StrategyParams,
-                   opponents: Sequence[StrategyParams], side: str = "row",
+                   opponents: Sequence[StrategyParams],
                    mode: str = "auto", tol: float = FLOAT_TOL) -> bool:
     """True iff p and q yield identical coefficient vectors against every opponent.
 
@@ -60,9 +75,9 @@ def are_equivalent(p: StrategyParams, q: StrategyParams,
     """
     if not opponents:
         raise ValueError("opponents must be nonempty")
-    r1 = coefficient_row(p, opponents, side=side, mode=mode)
-    r2 = coefficient_row(q, opponents, side=side, mode=mode)
-    return Field.of((x for v in r1 + r2 for x in v), mode, tol).rows_equal(r1, r2)
+    k1, k2 = row_keys([coefficient_row(p, opponents, mode=mode),
+                       coefficient_row(q, opponents, mode=mode)], mode, tol)
+    return k1 == k2
 
 
 @dataclass(frozen=True)
@@ -76,34 +91,20 @@ class EquivClassPartition:
         return len(self.classes)
 
 
-def _group_rows(rows, field: Field) -> Tuple[Tuple[int, ...], ...]:
-    """Classes of row indices under field.rows_equal, closed transitively by
-    union-find, so near-threshold float rows cannot give an intransitive
-    partition."""
-    parent = list(range(len(rows)))
-
-    def find(i):
-        while parent[i] != i:
-            parent[i] = parent[parent[i]]
-            i = parent[i]
-        return i
-
-    for i in range(len(rows)):
-        for j in range(i + 1, len(rows)):
-            if field.rows_equal(rows[i], rows[j]):
-                parent[find(i)] = find(j)
-    groups: Dict[int, List[int]] = {}
-    for i in range(len(rows)):
-        groups.setdefault(find(i), []).append(i)
-    return tuple(sorted(tuple(g) for g in groups.values()))
+def _classes(keys) -> Tuple[Tuple[int, ...], ...]:
+    """Indices grouped by equal key, each class and the classes in
+    ascending order."""
+    groups: Dict[object, List[int]] = {}
+    for i, key in enumerate(keys):
+        groups.setdefault(key, []).append(i)
+    return tuple(tuple(g) for g in groups.values())
 
 
-def partition(strategies: Sequence[StrategyParams], side: str = "row",
+def partition(strategies: Sequence[StrategyParams],
               mode: str = "auto") -> EquivClassPartition:
     """Partition a finite strategy set into payoff-equivalence classes,
     with the set itself as the opponent universe."""
     if not strategies:
         raise ValueError("strategies must be nonempty")
-    rows = [coefficient_row(p, strategies, side=side, mode=mode) for p in strategies]
-    field = Field.of((x for row in rows for v in row for x in v), mode)
-    return EquivClassPartition(_group_rows(rows, field))
+    rows = [coefficient_row(p, strategies, mode=mode) for p in strategies]
+    return EquivClassPartition(_classes(row_keys(rows, mode)))

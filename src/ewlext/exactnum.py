@@ -185,11 +185,6 @@ def exact_cos(k: Fraction) -> Q2:
     raise ExactnessError(f"cos({k}*pi) is not representable in Q(sqrt(2))")
 
 
-def exact_sin(k: Fraction) -> Q2:
-    """sin(k*pi), exact in Q(sqrt(2)) when representable."""
-    return exact_cos(_HALF - k)
-
-
 # -- angles -----------------------------------------------------------------
 
 _ANGLE_RE = re.compile(
@@ -393,16 +388,6 @@ class Field:
         """Dedupe key: the value itself, or its index on a grid of step tol."""
         return x if self.exact else round(float(x) / self.tol)
 
-    def rows_equal(self, r1, r2) -> bool:
-        """Rows of coefficient vectors equal entry by entry."""
-        if self.exact:
-            return r1 == r2
-        for v1, v2 in zip(r1, r2):
-            for x, y in zip(v1, v2):
-                if abs(float(x) - float(y)) > self.tol:
-                    return False
-        return True
-
     def intern(self, values) -> List[int]:
         """Integer ids of values: equal ids mean equal values (exact) or
         values within tol (float).
@@ -415,27 +400,27 @@ class Field:
         if self.exact:
             ids: Dict[object, int] = {}
             return [ids.setdefault(v, len(ids)) for v in values]
-        import numpy as np
         tol = self.tol
-        values = np.asarray(values, dtype=np.float64)
-        if not np.isfinite(values).all():
+        values = [float(v) for v in values]
+        distinct = sorted(set(values))
+        if not all(map(math.isfinite, distinct)):
             raise ToleranceError("values to intern must be finite")
-        order = np.argsort(values)
-        ordered = values[order]
-        steps = np.diff(ordered)
-        breaks = steps > tol
-        starts = np.flatnonzero(np.r_[True, breaks])
-        ends = np.r_[starts[1:], len(ordered)] - 1
-        width = (ordered[ends] - ordered[starts]).max()
-        gap = steps[breaks].min(initial=np.inf)
+        cluster_of = {}
+        cluster, width, gap = 0, 0.0, math.inf
+        start = prev = distinct[0] if distinct else 0.0
+        for v in distinct:
+            if v - prev > tol:  # a gap wider than tol starts a new cluster
+                width, gap = max(width, prev - start), min(gap, v - prev)
+                start, cluster = v, cluster + 1
+            cluster_of[v] = cluster
+            prev = v
+        width = max(width, prev - start)
         if width > tol / 100 or gap < 100 * tol:
             raise ToleranceError(
                 f"float values do not separate at tol = {tol:g}: "
                 f"widest cluster {width:.3g}, narrowest gap {gap:.3g}"
             )
-        ids = np.empty(len(values), dtype=np.int32)
-        ids[order] = np.r_[0, np.cumsum(breaks)]
-        return ids.tolist()
+        return [cluster_of[v] for v in values]
 
 
 EXACT = Field()

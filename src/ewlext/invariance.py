@@ -10,7 +10,7 @@ from fractions import Fraction
 from itertools import permutations
 from typing import List, Optional, Sequence, Tuple
 
-from .equivalence import _group_rows, coefficient_row
+from .equivalence import _classes, coefficient_row, row_keys
 from .errors import DimensionMismatchError
 from .exactnum import EXACT, Field, normalize
 from .payoff import (Bimatrix2, PayoffPair, format_grid, format_scalar, parse_grid,
@@ -182,19 +182,16 @@ def criterion_holds(strategies: Sequence[StrategyParams],
     taken with opponents = S.  Then every image lands in some class, and
     some permutation sigma of S has phi(s_i) equivalent to s_sigma(i) for
     every i: a bijection of strategies, not only of classes.  Each
-    coefficient row is computed exactly once.
+    coefficient row is computed exactly once and compared by its row_keys.
     """
-    rows = [coefficient_row(s, strategies, mode=mode) for s in strategies]
-    phi_rows = [coefficient_row(phi(s), strategies, mode=mode) for s in strategies]
-    field = Field.of((x for row in rows + phi_rows for v in row for x in v), mode)
-    classes = _group_rows(rows, field)
-    image = tuple(
-        next((k for k, cls in enumerate(classes)
-              if field.rows_equal(phi_row, rows[cls[0]])), -1)
-        for phi_row in phi_rows
-    )
+    n = len(strategies)
+    keys = row_keys([coefficient_row(s, strategies, mode=mode)
+                     for s in [*strategies, *map(phi, strategies)]], mode)
+    classes = _classes(keys[:n])
+    class_of = {keys[cls[0]]: k for k, cls in enumerate(classes)}
+    image = tuple(class_of.get(key, -1) for key in keys[n:])
     holds = all(image.count(k) == len(cls) for k, cls in enumerate(classes))
-    return CriterionReport(holds, tuple(classes), image)
+    return CriterionReport(holds, classes, image)
 
 
 @dataclass(frozen=True)

@@ -182,7 +182,8 @@ def _coefficient_tables(thetas: List[Fraction], n: int, mode: str):
                 player = canonicalize(tp, m * step, k * step)
                 for o, opponent in enumerate(opponents):
                     values[p, o, m, k] = coefficients(player, opponent, mode=mode)
-    ids = np.asarray(field.intern(values.ravel()), dtype=np.int64).reshape(values.shape)
+    ids = np.asarray(field.intern(values.ravel().tolist()),
+                     dtype=np.int64).reshape(values.shape)
     size = ids.max() + 1
 
     def pair_ids(i, j):  # one compact id per pair of component ids

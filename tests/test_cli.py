@@ -185,6 +185,19 @@ def test_extend_csv_format(capsys, pd_file):
     assert "I,U1,9/4,9/4" in lines
 
 
+@pytest.mark.parametrize("argv", [
+    ["verify", "--class", "B", "--format", "csv"],
+    ["payoff", "--p1", "0,0,0", "--p2", "0,0,0", "--format", "pretty"],
+    ["limits", "--mode", "exact"],
+])
+def test_options_a_command_would_ignore_are_usage_errors(capsys, pd_file, argv):
+    # only extend and equilibria have output formats; limits is float only
+    with pytest.raises(SystemExit) as exc:
+        main([*argv, "--game", pd_file])
+    assert exc.value.code == 2
+    assert "unrecognized arguments" in capsys.readouterr().err
+
+
 def test_equilibria_csv_and_pretty(capsys, pd_file):
     code, out, _ = run(capsys, "equilibria", "--extend-first", "--class", "C",
                        "--theta1", "1/3 pi", "--game", pd_file, "--format", "csv")
@@ -239,6 +252,7 @@ import ewlext, ewlext.cli
 game = sys.argv[1]
 cls = ["--class", "C", "--theta1", "1/3 pi", "--game", game]
 runs = [["extend", *cls, "--oracle-check"], ["verify", *cls],
+        ["verify", *cls, "--mode", "float"],
         ["equilibria", "--extend-first", *cls],
         ["payoff", "--game", game, "--p1", "1/2 pi,1/2 pi,1/2 pi", "--p2", "0,0,0",
          "--oracle-check"],
@@ -261,7 +275,8 @@ def test_one_game_commands_do_not_load_numpy(pd_file):
     assert proc.returncode == 0, proc.stderr
     assert json.loads(proc.stdout) == [
         [command, 0, False, True]
-        for command in ("import", "extend", "verify", "equilibria", "payoff", "limits")]
+        for command in ("import", "extend", "verify", "verify", "equilibria", "payoff",
+                        "limits")]
 
 
 def test_enumerate_half_pi_prints_the_reference_hits(capsys):

@@ -3,7 +3,7 @@ from fractions import Fraction
 
 import pytest
 
-from ewlext import Angle, DomainError, ExactnessError, Q2, exact_cos, exact_sin
+from ewlext import Angle, DomainError, ExactnessError, Q2, exact_cos
 from ewlext.exactnum import normalize
 
 
@@ -42,8 +42,10 @@ def test_exact_cos_matches_float(num, den):
 
 @pytest.mark.parametrize("num,den", [(k, q) for q in (1, 2, 4) for k in range(2 * q)])
 def test_exact_sin_matches_float(num, den):
+    # payoff's expansion takes sin(k pi) as cos((1/2 - k) pi)
     k = Fraction(num, den)
-    assert float(exact_sin(k)) == pytest.approx(math.sin(float(k) * math.pi), abs=1e-15)
+    assert (float(exact_cos(Fraction(1, 2) - k))
+            == pytest.approx(math.sin(float(k) * math.pi), abs=1e-15))
 
 
 @pytest.mark.parametrize("k", [Fraction(1, 6), Fraction(1, 8), Fraction(3, 16)])
@@ -51,8 +53,6 @@ def test_exact_trig_unsupported(k):
     # these cosines need sqrt(3) or nested radicals, outside Q(sqrt(2))
     with pytest.raises(ExactnessError):
         exact_cos(k)
-    with pytest.raises(ExactnessError):
-        exact_sin(Fraction(1, 3))  # sin(pi/3) = sqrt(3)/2
 
 
 def test_angle_parse_and_format():

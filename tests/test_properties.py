@@ -63,9 +63,7 @@ def permuted(g: ExtendedGame, rp, cp) -> ExtendedGame:
 @settings(max_examples=40, deadline=None, derandomize=True)
 @given(lattice_sets())
 def test_partition_and_criterion_agree_exact_and_float(strategies):
-    for side in ("row", "col"):
-        assert (partition(strategies, side=side, mode="exact")
-                == partition(strategies, side=side, mode="float"))
+    assert partition(strategies, mode="exact") == partition(strategies, mode="float")
     assert criterion_holds(strategies, mode="exact") == criterion_holds(strategies,
                                                                         mode="float")
 
