@@ -93,19 +93,7 @@ class Q2:
     # -- comparisons ------------------------------------------------------
 
     def _sign(self) -> int:
-        a, b = self.a, self.b
-        if b == 0:
-            return (a > 0) - (a < 0)
-        if a == 0:
-            return 1 if b > 0 else -1
-        if a > 0 and b > 0:
-            return 1
-        if a < 0 and b < 0:
-            return -1
-        # opposite signs: compare |a| with |b| sqrt(2) exactly
-        if a > 0:  # b < 0
-            return 1 if a * a > 2 * b * b else -1
-        return 1 if 2 * b * b > a * a else -1
+        return _sign(self.a, self.b)
 
     def __eq__(self, other):
         try:
@@ -153,6 +141,126 @@ def normalize(x):
 
 def scalar_is_exact(x) -> bool:
     return isinstance(x, (int, Fraction, Q2))
+
+
+def _sign(a, b) -> int:
+    """Sign of a + b*sqrt(2) for rational a, b, decided exactly."""
+    if b == 0:
+        return (a > 0) - (a < 0)
+    if a == 0:
+        return 1 if b > 0 else -1
+    if a > 0 and b > 0:
+        return 1
+    if a < 0 and b < 0:
+        return -1
+    # opposite signs: compare |a| with |b| sqrt(2) exactly
+    if a > 0:  # b < 0
+        return 1 if a * a > 2 * b * b else -1
+    return 1 if 2 * b * b > a * a else -1
+
+
+class Z2:
+    """Integer a + b*sqrt(2) of Z[sqrt(2)]: an exact Q(sqrt(2)) game scaled by
+    the lcm of its denominators.  Supports what fraction-free elimination
+    needs: +, -, *, exact division // (a nonzero remainder raises) and sign
+    comparisons; ints mix in freely."""
+
+    __slots__ = ("a", "b")
+
+    def __init__(self, a: int, b: int = 0):
+        self.a = a
+        self.b = b
+
+    def __add__(self, o):
+        if isinstance(o, int):
+            return Z2(self.a + o, self.b)
+        return Z2(self.a + o.a, self.b + o.b)
+
+    __radd__ = __add__
+
+    def __sub__(self, o):
+        if isinstance(o, int):
+            return Z2(self.a - o, self.b)
+        return Z2(self.a - o.a, self.b - o.b)
+
+    def __rsub__(self, o):
+        return Z2(o - self.a, -self.b)
+
+    def __neg__(self):
+        return Z2(-self.a, -self.b)
+
+    def __mul__(self, o):
+        if isinstance(o, int):
+            return Z2(self.a * o, self.b * o)
+        return Z2(self.a * o.a + 2 * self.b * o.b, self.a * o.b + self.b * o.a)
+
+    __rmul__ = __mul__
+
+    def __floordiv__(self, o):
+        """The exact quotient: through the norm c^2 - 2 d^2 of o = c + d r."""
+        if isinstance(o, int):
+            num, norm = self, o
+        else:
+            num, norm = self * Z2(o.a, -o.b), o.a * o.a - 2 * o.b * o.b
+        qa, ra = divmod(num.a, norm)
+        qb, rb = divmod(num.b, norm)
+        if ra or rb:
+            raise ArithmeticError(f"{self} is not divisible by {o} in Z[sqrt(2)]")
+        return Z2(qa, qb)
+
+    def __rfloordiv__(self, o):
+        return Z2(o) // self
+
+    def __eq__(self, o):
+        if isinstance(o, int):
+            return self.b == 0 and self.a == o
+        if isinstance(o, Z2):
+            return self.a == o.a and self.b == o.b
+        return NotImplemented
+
+    def __lt__(self, o):
+        diff = self - o
+        return _sign(diff.a, diff.b) < 0
+
+    def __gt__(self, o):
+        diff = self - o
+        return _sign(diff.a, diff.b) > 0
+
+    def __repr__(self):
+        return f"Z2({self.a}, {self.b})"
+
+
+def integral(values, scale: int):
+    """scale * x for every exact x, as an int, or a Z2 when x has a sqrt(2)
+    part; scale must clear every denominator (see denominators_lcm)."""
+    out = []
+    for x in values:
+        if isinstance(x, Q2):
+            if x.b:
+                out.append(Z2(int(x.a * scale), int(x.b * scale)))
+                continue
+            x = x.a
+        out.append(int(x * scale) if isinstance(x, Fraction) else x * scale)
+    return out
+
+
+def denominators_lcm(values) -> int:
+    """lcm of the denominators of the rational parts of exact values."""
+    scale = 1
+    for x in values:
+        for part in (x.a, x.b) if isinstance(x, Q2) else (x,):
+            if isinstance(part, Fraction):
+                scale = math.lcm(scale, part.denominator)
+    return scale
+
+
+def ratio(num, d):
+    """The exact quotient num / d of two integers of Z or Z[sqrt(2)], as a
+    Fraction when it is rational and a Q2 otherwise."""
+    if isinstance(num, int) and isinstance(d, int):
+        return Fraction(num, d)
+    num, d = (Q2(x.a, x.b) if isinstance(x, Z2) else Q2(x) for x in (num, d))
+    return normalize(num / d)
 
 
 Q2_ZERO = Q2(0)
@@ -364,25 +472,26 @@ class Field:
 
     def convert(self, x):
         """x in this field: a float in a float field; in the exact field
-        ints become Fractions, so elimination never divides int by int."""
+        ints become Fractions, so exact results are Fractions."""
         if not self.exact:
             return float(x)
         return Fraction(x) if isinstance(x, int) else x
 
-    def is_zero(self, x) -> bool:
-        return x == 0 if self.exact else abs(x) <= self.tol
+    def is_zero(self, x, d=1) -> bool:
+        """x / d is zero: exactly, or within tol in a float field."""
+        return x == 0 if self.exact else abs(x) <= self.tol * abs(d)
 
     def exceeds(self, x, y) -> bool:
         """x > y, by more than tol in a float field."""
         return x > y if self.exact else x > y + self.tol
 
-    def pivot(self, values) -> Optional[int]:
-        """Index of the pivot among values, None if all are zero: the first
-        nonzero one when exact, the largest in magnitude otherwise."""
+    def pivot(self, values, d=1) -> Optional[int]:
+        """Index of the pivot among values / d, None if all are zero: the
+        first nonzero one when exact, the largest in magnitude otherwise."""
         if self.exact:
             return next((i for i, v in enumerate(values) if v != 0), None)
         best = max(range(len(values)), key=lambda i: abs(values[i]))
-        return None if self.is_zero(values[best]) else best
+        return None if self.is_zero(values[best], d) else best
 
     def key(self, x):
         """Dedupe key: the value itself, or its index on a grid of step tol."""

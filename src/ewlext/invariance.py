@@ -50,6 +50,10 @@ class ExtendedGame:
 
     def __post_init__(self):
         n = len(self.labels)
+        if n == 0:
+            raise ValueError("a game needs at least one strategy")
+        if not all(isinstance(label, str) for label in self.labels):
+            raise TypeError("strategy labels must be strings")
         if len(set(self.labels)) != n:
             raise ValueError("strategy labels must be distinct")
         if len(self.payoffs) != n or any(len(r) != n for r in self.payoffs):
@@ -72,6 +76,8 @@ class ExtendedGame:
 
     @staticmethod
     def from_json(obj) -> "ExtendedGame":
+        if not isinstance(obj["labels"], list):
+            raise TypeError("'labels' must be a list of strings")
         return ExtendedGame(tuple(obj["labels"]), parse_grid(obj["payoffs"]))
 
     def pretty(self) -> str:

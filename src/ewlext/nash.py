@@ -1,20 +1,24 @@
 """Pure and mixed Nash equilibria of finite bimatrix games.
 
 Support enumeration: for every pair of candidate supports, solve the
-indifference equations exactly (rational or Q(sqrt(2)) entries) or in
-floating point, then keep solutions that are feasible and undominated off
-support.  Enumeration finds *all* equilibria of nondegenerate games, which
-matters more here than speed: the games of interest are 4x4.
+indifference equations by fraction-free elimination (`solve_linear`), then
+keep solutions that are feasible and undominated off support.  An exact
+game is scaled once to integers (`int`, or `exactnum.Z2` for sqrt(2)
+parts); both tests are decided on integer numerators, and only the pairs
+that pass are divided out.  Enumeration finds *all* equilibria of
+nondegenerate games, which matters more here than speed: the games of
+interest are 4x4.
 """
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 from itertools import combinations
 from typing import List, Optional, Sequence, Tuple
 
 from .errors import DimensionMismatchError, ExactnessError
-from .exactnum import EXACT, Field, normalize
+from .exactnum import EXACT, Field, Z2, denominators_lcm, integral, ratio
 from .invariance import ExtendedGame
 from .payoff import PayoffPair, format_scalar
 
@@ -27,36 +31,59 @@ SUM_TOL = 1e-9  # float probabilities must sum to 1 within this
 
 
 def solve_linear(a_rows: List[List], rhs: List, field: Field):
-    """Gauss-Jordan solve of A x = b, with field's zero test and pivot rule.
+    """Solve A x = b by fraction-free Gauss-Jordan elimination (Bareiss 1968).
+
+    After k pivots every entry is a (k+1)-minor of [A | b], so each division
+    by the previous pivot is exact, and every pivot row ends with the last
+    pivot d on its diagonal: x = numerator / d.  The field's pivot rule and
+    zero test apply to entry / d.  Exact rows are scaled to integers (int or
+    Z2) first; float rows run the same steps in floats.
 
     Returns (status, x): status 'unique', 'many' (x is the particular
-    solution with free variables zero) or 'none' (x is None).
+    solution with free variables zero) or 'none' (x is None).  Fraction, Q2
+    or float entries give x in that field; integer entries (int, Z2) give
+    x = (numerators, d) with d > 0, so a caller can decide signs on
+    integers and divide only the solutions it keeps.
     """
-    m, n = len(a_rows), len(a_rows[0])
     rows = [list(r) + [v] for r, v in zip(a_rows, rhs)]
+    in_ring = field.exact and all(isinstance(v, (int, Z2)) for row in rows for v in row)
+    if field.exact and not in_ring:
+        rows = [integral(row, denominators_lcm(row)) for row in rows]
+    divide = operator.floordiv if field.exact else operator.truediv
+    m, n = len(rows), len(rows[0]) - 1
+    d = 1
     pivots = []
     r = 0
     for c in range(n):
         if r == m:
             break
-        piv = field.pivot([rows[i][c] for i in range(r, m)])
+        piv = field.pivot([rows[i][c] for i in range(r, m)], d)
         if piv is None:
             continue
         rows[r], rows[r + piv] = rows[r + piv], rows[r]
-        scale = rows[r][c]
-        rows[r] = [x / scale for x in rows[r]]
+        top = rows[r]
+        p = top[c]
         for i in range(m):
-            if i != r and not field.is_zero(rows[i][c]):
-                f = rows[i][c]
-                rows[i] = [x - f * y for x, y in zip(rows[i], rows[r])]
+            if i != r:
+                row, f = rows[i], rows[i][c]
+                if field.is_zero(f, d):
+                    rows[i] = [divide(p * x, d) for x in row]
+                else:
+                    rows[i] = [divide(p * x - f * y, d) for x, y in zip(row, top)]
+        d = p
         pivots.append(c)
         r += 1
-    if any(not field.is_zero(rows[i][n]) for i in range(r, m)):
+    if any(not field.is_zero(rows[i][n], d) for i in range(r, m)):
         return "none", None
-    x = [field.zero] * n
+    nums = [0] * n
     for k, c in enumerate(pivots):
-        x[c] = rows[k][n]
-    return ("unique" if len(pivots) == n else "many"), x
+        nums[c] = rows[k][n]
+    if d < 0:
+        nums, d = [-v for v in nums], -d
+    status = "unique" if len(pivots) == n else "many"
+    if in_ring:
+        return status, (nums, d)
+    return status, [_value(v, d, field) for v in nums]
 
 
 # -- report types ----------------------------------------------------------------
@@ -150,18 +177,20 @@ def _indifference_solution(values, support, other_support, linear, field):
 
     `values[r][c]` is the optimizing player's payoff, rows = their own
     strategies, columns = the mixing opponent's strategies.  The system is
-    solved in `linear`; feasibility is judged in `field`.
+    solved in `linear`; feasibility is judged in `field`.  Returns
+    (probabilities, value, d): exact ones are integer numerators over the
+    common denominator d > 0, float ones are values and d is 1.
     """
-    zero, one = field.zero, field.one
-    a_rows = [[values[r][c] for c in support] + [-one] for r in other_support]
-    a_rows.append([one] * len(support) + [zero])
-    rhs = [zero] * len(other_support) + [one]
+    a_rows = [[values[r][c] for c in support] + [-1] for r in other_support]
+    a_rows.append([1] * len(support) + [0])
+    rhs = [0] * len(other_support) + [1]
     status, x = solve_linear(a_rows, rhs, linear)
     if status == "none":
         return None, False
-    probs, v = x[:-1], x[-1]
+    nums, d = x if linear.exact else (x, 1)
+    probs, v = nums[:-1], nums[-1]
     degenerate = status == "many"
-    if any(field.exceeds(zero, p) for p in probs):
+    if any(field.exceeds(0, p) for p in probs):
         return None, degenerate
     if not field.exact:  # clip rounding noise below zero, then renormalise
         probs = [max(p, 0.0) for p in probs]
@@ -169,7 +198,7 @@ def _indifference_solution(values, support, other_support, linear, field):
         if abs(total - 1.0) > SUM_TOL:
             return None, degenerate
         probs = [p / total for p in probs]
-    return (probs, v), degenerate
+    return (probs, v, d), degenerate
 
 
 def mixed_equilibria(g: ExtendedGame, mode: str = "auto") -> EquilibriumReport:
@@ -192,34 +221,39 @@ def mixed_equilibria(g: ExtendedGame, mode: str = "auto") -> EquilibriumReport:
         raise ExactnessError("exact mode requires exact game entries")
     field = linear if linear.exact else Field(DEVIATION_TOL)
     u1, u2 = _payoff_grids(g, linear)
+    # exact games run on integers: scale every entry by the lcm of the
+    # denominators; the indifference values come out scaled by it as well
+    scale, s1, s2 = 1, u1, u2
+    if linear.exact:
+        scale = denominators_lcm(v for grid in (u1, u2) for row in grid for v in row)
+        s1, s2 = ([integral(row, scale) for row in grid] for grid in (u1, u2))
 
     found = {}
     degenerate = False
-    u2_t = [[u2[i][j] for i in range(n)] for j in range(n)]
+    s2_t = [[s2[i][j] for i in range(n)] for j in range(n)]
     all_supports = [
         s for size in range(1, n + 1) for s in combinations(range(n), size)
     ]
     for rows_supp in all_supports:
         for cols_supp in all_supports:
             # player 2's mix over cols_supp makes rows_supp indifferent
-            q_sol, q_deg = _indifference_solution(u1, cols_supp, rows_supp, linear, field)
+            q_sol, q_deg = _indifference_solution(s1, cols_supp, rows_supp, linear, field)
             if q_sol is None:
                 continue
             # player 1's mix over rows_supp makes cols_supp indifferent
-            p_sol, p_deg = _indifference_solution(u2_t, rows_supp, cols_supp, linear, field)
+            p_sol, p_deg = _indifference_solution(s2_t, rows_supp, cols_supp, linear, field)
             if p_sol is None:
                 continue
-            q_probs, v1 = q_sol
-            p_probs, v2 = p_sol
-            q_full = [field.zero] * n
-            for c, pr in zip(cols_supp, q_probs):
-                q_full[c] = pr
-            p_full = [field.zero] * n
-            for r, pr in zip(rows_supp, p_probs):
-                p_full[r] = pr
-            if not _best_response_ok(u1, u2, p_full, q_full, v1, v2,
+            q_nums, v1, d1 = q_sol
+            p_nums, v2, d2 = p_sol
+            q_nums, p_nums = _spread(q_nums, cols_supp, n), _spread(p_nums, rows_supp, n)
+            # decided on the numerators over d1, d2 > 0, before any division
+            if not _best_response_ok(s1, s2, p_nums, q_nums, v1, v2,
                                      rows_supp, cols_supp, field):
                 continue
+            q_full = [_value(x, d1, field) for x in q_nums]
+            p_full = [_value(x, d2, field) for x in p_nums]
+            v1, v2 = _value(v1, d1 * scale, field), _value(v2, d2 * scale, field)
             # An underdetermined system that nevertheless produced an
             # equilibrium with full support on the candidate sets evidences
             # a solution family: keep the sample, do not enumerate.
@@ -236,7 +270,7 @@ def mixed_equilibria(g: ExtendedGame, mode: str = "auto") -> EquilibriumReport:
                 kind = "pure" if len(supports[0]) == 1 and len(supports[1]) == 1 else "mixed"
                 found[key] = Equilibrium(
                     MixedProfile(tuple(p_full), tuple(q_full)),
-                    PayoffPair(normalize(v1), normalize(v2)),
+                    PayoffPair(v1, v2),
                     kind,
                     supports,
                 )
@@ -249,6 +283,20 @@ def mixed_equilibria(g: ExtendedGame, mode: str = "auto") -> EquilibriumReport:
         _excess_best_responses(u1, u2, e, field) for e in ordered
     )
     return EquilibriumReport(tuple(ordered), degenerate)
+
+
+def _spread(values, support, n):
+    """Length-n vector with values on support and zeros elsewhere."""
+    out = [0] * n
+    for i, x in zip(support, values):
+        out[i] = x
+    return out
+
+
+def _value(num, d, field):
+    """num / d: a Fraction, or a Q2 when irrational, in the exact field; a
+    float otherwise."""
+    return ratio(num, d) if field.exact else num / d
 
 
 def _excess_best_responses(u1, u2, eq: "Equilibrium", field) -> bool:

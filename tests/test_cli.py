@@ -225,6 +225,17 @@ def test_equilibria_pre_extended_game(capsys, pd_file):
     assert eqs[0]["support_labels"][0][0] in ("I", "iX", "U1", "U2")
 
 
+@pytest.mark.parametrize("game", [
+    '{"labels": [], "payoffs": []}',
+    '{"labels": "ab", "payoffs": [[[1, 1], [0, 0]], [[0, 0], [1, 1]]]}',
+    '{"labels": [1, 2], "payoffs": [[[1, 1], [0, 0]], [[0, 0], [1, 1]]]}',
+])
+def test_equilibria_game_without_strategies_or_string_labels_is_input_error(capsys, game):
+    code, out, err = run(capsys, "equilibria", "--game", game)
+    assert code == 2 and out == ""
+    assert len(err.strip().splitlines()) == 1 and "malformed game JSON" in err
+
+
 def test_limits_csv(capsys, pd_file):
     code, out, _ = run(capsys, "limits", "--game", pd_file, "--epsilons", "1e-6")
     assert code == 0

@@ -4,7 +4,7 @@ from fractions import Fraction
 import pytest
 
 from ewlext import Angle, DomainError, ExactnessError, Q2, exact_cos
-from ewlext.exactnum import normalize
+from ewlext.exactnum import Z2, normalize, ratio
 
 
 def test_q2_field_arithmetic():
@@ -32,6 +32,20 @@ def test_q2_order_is_exact():
 def test_q2_division_by_zero():
     with pytest.raises(ZeroDivisionError):
         Q2(1) / Q2(0)
+
+
+def test_z2_ring_arithmetic_and_exact_division():
+    unit = Z2(1, 1)  # 1 + sqrt(2), norm -1
+    x = Z2(3, -2) * unit
+    assert x == Z2(-1, 1) and x // unit == Z2(3, -2)
+    assert Z2(6, 4) // 2 == Z2(3, 2) and 7 // Z2(3, 2) == Z2(21, -14)
+    assert 2 * unit - 1 == Z2(1, 2) and -unit + 1 == Z2(0, -1)
+    with pytest.raises(ArithmeticError):
+        Z2(1, 1) // 2
+    assert Z2(1, -1) < 0 < Z2(-1, 1) and Z2(3, -2) > 0  # 3 > 2 sqrt(2)
+    assert ratio(Z2(1, 1), 2) == Q2(Fraction(1, 2), Fraction(1, 2))
+    assert type(ratio(Z2(2, 0), Z2(4, 0))) is Fraction
+    assert ratio(3, -6) == Fraction(-1, 2)
 
 
 @pytest.mark.parametrize("num,den", [(k, q) for q in (1, 2, 3, 4) for k in range(2 * q)])

@@ -8,6 +8,7 @@ from ewlext import (
     ExtendedGame,
     IsoVariant,
     PRISONERS_DILEMMA,
+    Q2,
     best_response_values,
     extension_matrix,
     iso_variant,
@@ -198,6 +199,17 @@ def test_json_report_exact_strings(c_ext):
     assert mixed["p1"] == ["0", "1/3", "2/3", "0"]
     assert mixed["payoff"] == ["23/12", "23/12"]
     assert mixed["support_labels"] == [["iX", "U1"], ["iX", "U1"]]
+
+
+@pytest.mark.parametrize("cls,theta1", [("C", "1/3 pi"), ("B", "1/2 pi"), ("C", "1/4 pi")])
+def test_exact_report_values_are_fractions_when_rational(cls, theta1):
+    ext = extension_matrix(ClassParams.create(cls, theta1=theta1), PD)
+    rep = mixed_equilibria(ext, mode="exact")
+    values = [v for e in rep.equilibria
+              for v in e.profile.p1 + e.profile.p2 + tuple(e.payoff)]
+    assert values
+    for v in values:  # a Q2 only where the sqrt(2) part is nonzero
+        assert type(v) is Fraction or (type(v) is Q2 and v.b != 0), repr(v)
 
 
 @pytest.mark.parametrize("theta1", ["1/3 pi", "1/4 pi"])  # rational, Q(sqrt(2)) entries

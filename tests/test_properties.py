@@ -14,6 +14,7 @@ from ewlext import (
     ExtendedGame,
     IDENTITY,
     IX,
+    Q2,
     canonicalize,
     criterion_holds,
     mixed_equilibria,
@@ -21,6 +22,8 @@ from ewlext import (
     strongly_isomorphic,
     verify_equilibrium,
 )
+from ewlext.exactnum import EXACT, Field, Z2, ratio
+from ewlext.nash import PIVOT_TOL, solve_linear
 
 QUARTER_THETAS = [Fraction(k, 4) for k in range(5)]
 
@@ -106,3 +109,89 @@ def test_strongly_isomorphic_agrees_exact_and_float(args):
         wr, wc = witness
         assert all(g2.payoffs[wr[i]][wc[j]] == g1.payoffs[i][j]
                    for i in range(n) for j in range(n))
+
+
+def gauss_jordan_reference(a_rows, rhs, field):
+    """Gauss-Jordan in field arithmetic (Fraction, Q2 or float), pivot rows
+    scaled to 1: the elimination solve_linear replaced, kept as its reference."""
+    m, n = len(a_rows), len(a_rows[0])
+    rows = [list(r) + [v] for r, v in zip(a_rows, rhs)]
+    pivots = []
+    r = 0
+    for c in range(n):
+        if r == m:
+            break
+        piv = field.pivot([rows[i][c] for i in range(r, m)])
+        if piv is None:
+            continue
+        rows[r], rows[r + piv] = rows[r + piv], rows[r]
+        scale = rows[r][c]
+        rows[r] = [x / scale for x in rows[r]]
+        for i in range(m):
+            if i != r and not field.is_zero(rows[i][c]):
+                f = rows[i][c]
+                rows[i] = [x - f * y for x, y in zip(rows[i], rows[r])]
+        pivots.append(c)
+        r += 1
+    if any(not field.is_zero(rows[i][n]) for i in range(r, m)):
+        return "none", None
+    x = [field.zero] * n
+    for k, c in enumerate(pivots):
+        x[c] = rows[k][n]
+    return ("unique" if len(pivots) == n else "many"), x
+
+
+@st.composite
+def linear_systems(draw):
+    """(kind, A, b): up to 5 x 6 with rational, Q(sqrt(2)), float or ring
+    integer (int and Z2) entries; some with a dependent last row, consistent
+    or not."""
+    kind = draw(st.sampled_from(["rational", "q2", "float", "integer"]))
+    m, n = draw(st.integers(1, 5)), draw(st.integers(1, 6))
+    small = st.integers(-3, 3)
+
+    def entry():
+        if kind == "integer":
+            a, b = draw(small), draw(st.sampled_from([0, 0, 1, -2]))
+            return Z2(a, b) if b else a
+        a = Fraction(draw(small), draw(st.integers(1, 4)))
+        if kind == "q2":
+            return Q2(a, Fraction(draw(small), draw(st.integers(1, 3))))
+        return float(a) if kind == "float" else a
+
+    rows = [[entry() for _ in range(n + 1)] for _ in range(m)]
+    if m >= 2 and draw(st.booleans()):
+        k = draw(st.integers(-2, 2))
+        rows[-1] = [x + k * y for x, y in zip(rows[0], rows[1])]
+        if draw(st.booleans()):
+            rows[-1][-1] = rows[-1][-1] + 1
+    return kind, [r[:-1] for r in rows], [r[-1] for r in rows]
+
+
+def as_q2(x):
+    return Q2(x.a, x.b) if isinstance(x, Z2) else Q2(x)
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(linear_systems())
+def test_solve_linear_matches_field_gauss_jordan(system):
+    kind, a_rows, rhs = system
+    field = Field(PIVOT_TOL) if kind == "float" else EXACT
+    status, x = solve_linear(a_rows, rhs, field)
+    if kind == "integer":  # ring entries: numerators over d > 0
+        if x is not None:
+            nums, d = x
+            assert d > 0
+            x = [ratio(v, d) for v in nums]
+        a_rows = [[as_q2(v) for v in row] for row in a_rows]
+        rhs = [as_q2(v) for v in rhs]
+    want_status, want = gauss_jordan_reference(a_rows, rhs, field)
+    assert status == want_status
+    if status == "none":
+        assert x is None
+    elif kind == "float":
+        assert all(abs(u - v) <= 1e-9 for u, v in zip(x, want))
+    else:
+        assert x == want
+        assert all(sum(a * v for a, v in zip(row, x)) == b
+                   for row, b in zip(a_rows, rhs))
