@@ -9,7 +9,6 @@ from .equivalence import (
     EquivClassPartition,
     are_equivalent,
     partition,
-    random_su2_opponents,
 )
 from .errors import (
     DimensionMismatchError,
@@ -109,7 +108,6 @@ __all__ = [
     "payoff_oracle",
     "phi",
     "pure_equilibria",
-    "random_su2_opponents",
     "search_solutions",
     "strategy_set",
     "strongly_isomorphic",

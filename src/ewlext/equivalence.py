@@ -16,33 +16,18 @@ float comparison whose values fall between tol/100 and 100 tol raises
 ToleranceError instead of a verdict that hangs on rounding.
 
 The opponent set is a parameter.  The quotient criterion uses the game's own
-finite strategy set; callers wanting the stricter notion can pass
-random_su2_opponents(...) instead.
+finite strategy set; callers wanting a stricter notion can pass a sample of
+SU(2) instead.
 """
 
 from __future__ import annotations
 
-import math
-import random
 from dataclasses import dataclass
 from typing import Dict, List, Sequence, Tuple
 
 from .exactnum import EXACT, FLOAT_TOL, Field  # noqa: F401  (EXACT re-exported)
 from .payoff import CoefficientVector, coefficients
-from .su2 import StrategyParams, canonicalize
-
-
-def random_su2_opponents(count: int, seed: int = 0) -> List[StrategyParams]:
-    """Haar-ish random sampled opponents for a stricter equivalence check."""
-    rng = random.Random(seed)
-    out = []
-    for _ in range(count):
-        out.append(canonicalize(
-            math.acos(rng.uniform(-1.0, 1.0)),
-            rng.uniform(0.0, 2.0 * math.pi),
-            rng.uniform(0.0, 2.0 * math.pi),
-        ))
-    return out
+from .su2 import StrategyParams
 
 
 def coefficient_row(p: StrategyParams, opponents: Sequence[StrategyParams],

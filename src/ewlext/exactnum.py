@@ -2,8 +2,10 @@
 
 All discrete strategy parameters in this package live on lattices of
 rational multiples of pi.  Squared payoff amplitudes built from such angles
-stay inside the quadratic field Q(sqrt(2)), so an exact pair-of-Fractions
-number type is enough to avoid floating point everywhere it matters.
+stay inside the quadratic field Q(sqrt(2)), so one exact number type, Q2 =
+(p + q*sqrt(2))/d on ints, is enough to avoid floating point everywhere it
+matters; its d = 1 elements are the ring Z[sqrt(2)] that fraction-free
+elimination runs in.
 Field decides how two scalars compare, exactly or within a tolerance.
 """
 
@@ -18,18 +20,27 @@ from typing import Dict, List, Optional, Union
 
 from .errors import DomainError, ExactnessError, ToleranceError
 
-_ZERO = Fraction(0)
 _HALF = Fraction(1, 2)
 
 
 class Q2:
-    """Number a + b*sqrt(2) with rational a, b.  Immutable, hashable, ordered."""
+    """Number (p + q*sqrt(2))/d with int p, q, d, d > 0 and gcd(p, q, d) = 1.
 
-    __slots__ = ("a", "b")
+    Immutable, hashable and ordered; .a and .b are the rational parts
+    p/d and q/d.  The ring Z[sqrt(2)] is the d = 1 case, and x // y is the
+    exact quotient there: x / y when that lies in Z[sqrt(2)], else
+    ArithmeticError.  Ints and Fractions mix in freely and compare and hash
+    equal to the Q2 of the same value.
+    """
+
+    __slots__ = ("p", "q", "d")
 
     def __init__(self, a=0, b=0):
-        object.__setattr__(self, "a", a if isinstance(a, Fraction) else Fraction(a))
-        object.__setattr__(self, "b", b if isinstance(b, Fraction) else Fraction(b))
+        a, b = Fraction(a), Fraction(b)
+        d = math.lcm(a.denominator, b.denominator)
+        _set_p(self, a.numerator * (d // a.denominator))
+        _set_q(self, b.numerator * (d // b.denominator))
+        _set_d(self, d)
 
     def __setattr__(self, name, value):
         raise AttributeError("Q2 is immutable")
@@ -38,105 +49,154 @@ class Q2:
 
     @staticmethod
     def coerce(x) -> "Q2":
-        if isinstance(x, Q2):
-            return x
-        if isinstance(x, (int, Fraction)):
-            return Q2(x)
-        raise TypeError(f"cannot coerce {type(x).__name__} to Q2")
+        return x if isinstance(x, Q2) else _make(*_parts(x))
+
+    @property
+    def a(self) -> Fraction:
+        return Fraction(self.p, self.d)
+
+    @property
+    def b(self) -> Fraction:
+        return Fraction(self.q, self.d)
 
     def __float__(self) -> float:
-        return float(self.a) + float(self.b) * math.sqrt(2.0)
+        # p/d and q/d round as the Fractions a and b do
+        return self.p / self.d + self.q / self.d * _SQRT2
 
     # -- arithmetic -------------------------------------------------------
 
     def __add__(self, other):
-        o = Q2.coerce(other)
-        if not o.b:
-            return Q2(self.a + o.a, self.b)
-        return Q2(self.a + o.a, self.b + o.b)
+        p, q, d = _parts(other)
+        if d == self.d:
+            return _reduced(self.p + p, self.q + q, d)
+        return _reduced(self.p * d + p * self.d, self.q * d + q * self.d, self.d * d)
 
     __radd__ = __add__
 
     def __sub__(self, other):
-        o = Q2.coerce(other)
-        if not o.b:
-            return Q2(self.a - o.a, self.b)
-        return Q2(self.a - o.a, self.b - o.b)
+        p, q, d = _parts(other)
+        if d == self.d:
+            return _reduced(self.p - p, self.q - q, d)
+        return _reduced(self.p * d - p * self.d, self.q * d - q * self.d, self.d * d)
 
     def __rsub__(self, other):
-        o = Q2.coerce(other)
-        return Q2(o.a - self.a, o.b - self.b)
+        return Q2.coerce(other) - self
 
     def __neg__(self):
-        return Q2(-self.a, -self.b)
+        return _make(-self.p, -self.q, self.d)
 
     def __mul__(self, other):
-        o = Q2.coerce(other)
-        if not (self.b or o.b):
-            return Q2(self.a * o.a, _ZERO)
-        # (a + b r)(c + d r) = ac + 2bd + (ad + bc) r, with r = sqrt(2)
-        return Q2(self.a * o.a + 2 * self.b * o.b, self.a * o.b + self.b * o.a)
+        p, q, d = _parts(other)
+        # (a + b r)(c + e r) = ac + 2be + (ae + bc) r, with r = sqrt(2)
+        return _reduced(self.p * p + 2 * self.q * q, self.p * q + self.q * p, self.d * d)
 
     __rmul__ = __mul__
 
     def __truediv__(self, other):
-        o = Q2.coerce(other)
-        n = o.a * o.a - 2 * o.b * o.b
+        p, q, d = _parts(other)
+        n = p * p - 2 * q * q
         if n == 0:
             raise ZeroDivisionError("division by zero in Q2")
-        # 1/(c + d r) = (c - d r)/(c^2 - 2 d^2)
-        return self * Q2(o.a / n, -o.b / n)
+        # 1/((c + e r)/d) = (c - e r) d/(c^2 - 2 e^2)
+        sp, sq = self.p, self.q
+        return _reduced((sp * p - 2 * sq * q) * d, (sq * p - sp * q) * d, self.d * n)
 
     def __rtruediv__(self, other):
         return Q2.coerce(other) / self
 
+    def __floordiv__(self, other):
+        x = self / other
+        if x.d != 1:
+            raise ArithmeticError(f"{self} is not divisible by {other} in Z[sqrt(2)]")
+        return x
+
+    def __rfloordiv__(self, other):
+        return Q2.coerce(other) // self
+
     # -- comparisons ------------------------------------------------------
 
-    def _sign(self) -> int:
-        return _sign(self.a, self.b)
+    def _cmp(self, other) -> int:
+        p, q, d = _parts(other)
+        return _sign(self.p * d - p * self.d, self.q * d - q * self.d)
 
     def __eq__(self, other):
         try:
-            o = Q2.coerce(other)
+            p, q, d = _parts(other)
         except TypeError:
             return NotImplemented
-        return self.a == o.a and self.b == o.b
+        return self.p == p and self.q == q and self.d == d
 
     def __hash__(self):
-        if self.b == 0:
-            return hash(self.a)
-        return hash((self.a, self.b))
+        if self.q:
+            return hash((self.p, self.q, self.d))
+        return hash(self.p) if self.d == 1 else hash(Fraction(self.p, self.d))
 
     def __lt__(self, other):
-        return (self - Q2.coerce(other))._sign() < 0
+        return self._cmp(other) < 0
 
     def __le__(self, other):
-        return (self - Q2.coerce(other))._sign() <= 0
+        return self._cmp(other) <= 0
 
     def __gt__(self, other):
-        return (self - Q2.coerce(other))._sign() > 0
+        return self._cmp(other) > 0
 
     def __ge__(self, other):
-        return (self - Q2.coerce(other))._sign() >= 0
+        return self._cmp(other) >= 0
 
     def __abs__(self):
-        return -self if self._sign() < 0 else self
+        return -self if _sign(self.p, self.q) < 0 else self
 
     def __repr__(self):
         return f"Q2({self.a!r}, {self.b!r})"
 
     def __str__(self):
-        if self.b == 0:
-            return str(self.a)
-        if self.a == 0:
-            return f"{self.b}*sqrt(2)"
-        sep = "+" if self.b > 0 else "-"
-        return f"{self.a}{sep}{abs(self.b)}*sqrt(2)"
+        a, b = self.a, self.b
+        if b == 0:
+            return str(a)
+        if a == 0:
+            return f"{b}*sqrt(2)"
+        sep = "+" if b > 0 else "-"
+        return f"{a}{sep}{abs(b)}*sqrt(2)"
+
+
+_SQRT2 = math.sqrt(2.0)
+_set_p, _set_q, _set_d = Q2.p.__set__, Q2.q.__set__, Q2.d.__set__
+
+
+def _make(p: int, q: int, d: int) -> Q2:
+    """The Q2 (p + q*sqrt(2))/d of parts already in lowest terms."""
+    x = object.__new__(Q2)
+    _set_p(x, p)
+    _set_q(x, q)
+    _set_d(x, d)
+    return x
+
+
+def _reduced(p: int, q: int, d: int) -> Q2:
+    """The Q2 (p + q*sqrt(2))/d for any d != 0."""
+    if d < 0:
+        p, q, d = -p, -q, -d
+    if d != 1:
+        g = math.gcd(p, q, d)
+        if g != 1:
+            p, q, d = p // g, q // g, d // g
+    return _make(p, q, d)
+
+
+def _parts(x):
+    """(p, q, d) of an exact scalar; TypeError for anything else."""
+    if isinstance(x, Q2):
+        return x.p, x.q, x.d
+    if isinstance(x, int):
+        return x, 0, 1
+    if isinstance(x, Fraction):
+        return x.numerator, 0, x.denominator
+    raise TypeError(f"cannot coerce {type(x).__name__} to Q2")
 
 
 def normalize(x):
     """A rational Q2 as its Fraction; any other scalar unchanged."""
-    return x.a if isinstance(x, Q2) and x.b == 0 else x
+    return x.a if isinstance(x, Q2) and x.q == 0 else x
 
 
 def scalar_is_exact(x) -> bool:
@@ -159,108 +219,21 @@ def _sign(a, b) -> int:
     return 1 if 2 * b * b > a * a else -1
 
 
-class Z2:
-    """Integer a + b*sqrt(2) of Z[sqrt(2)]: an exact Q(sqrt(2)) game scaled by
-    the lcm of its denominators.  Supports what fraction-free elimination
-    needs: +, -, *, exact division // (a nonzero remainder raises) and sign
-    comparisons; ints mix in freely."""
-
-    __slots__ = ("a", "b")
-
-    def __init__(self, a: int, b: int = 0):
-        self.a = a
-        self.b = b
-
-    def __add__(self, o):
-        if isinstance(o, int):
-            return Z2(self.a + o, self.b)
-        return Z2(self.a + o.a, self.b + o.b)
-
-    __radd__ = __add__
-
-    def __sub__(self, o):
-        if isinstance(o, int):
-            return Z2(self.a - o, self.b)
-        return Z2(self.a - o.a, self.b - o.b)
-
-    def __rsub__(self, o):
-        return Z2(o - self.a, -self.b)
-
-    def __neg__(self):
-        return Z2(-self.a, -self.b)
-
-    def __mul__(self, o):
-        if isinstance(o, int):
-            return Z2(self.a * o, self.b * o)
-        return Z2(self.a * o.a + 2 * self.b * o.b, self.a * o.b + self.b * o.a)
-
-    __rmul__ = __mul__
-
-    def __floordiv__(self, o):
-        """The exact quotient: through the norm c^2 - 2 d^2 of o = c + d r."""
-        if isinstance(o, int):
-            num, norm = self, o
-        else:
-            num, norm = self * Z2(o.a, -o.b), o.a * o.a - 2 * o.b * o.b
-        qa, ra = divmod(num.a, norm)
-        qb, rb = divmod(num.b, norm)
-        if ra or rb:
-            raise ArithmeticError(f"{self} is not divisible by {o} in Z[sqrt(2)]")
-        return Z2(qa, qb)
-
-    def __rfloordiv__(self, o):
-        return Z2(o) // self
-
-    def __eq__(self, o):
-        if isinstance(o, int):
-            return self.b == 0 and self.a == o
-        if isinstance(o, Z2):
-            return self.a == o.a and self.b == o.b
-        return NotImplemented
-
-    def __lt__(self, o):
-        diff = self - o
-        return _sign(diff.a, diff.b) < 0
-
-    def __gt__(self, o):
-        diff = self - o
-        return _sign(diff.a, diff.b) > 0
-
-    def __repr__(self):
-        return f"Z2({self.a}, {self.b})"
-
-
 def integral(values, scale: int):
-    """scale * x for every exact x, as an int, or a Z2 when x has a sqrt(2)
-    part; scale must clear every denominator (see denominators_lcm)."""
+    """scale * x for every exact x, as an int, or a Q2 with d = 1 when x
+    has a sqrt(2) part; scale must clear every denominator (see
+    denominators_lcm)."""
     out = []
     for x in values:
-        if isinstance(x, Q2):
-            if x.b:
-                out.append(Z2(int(x.a * scale), int(x.b * scale)))
-                continue
-            x = x.a
-        out.append(int(x * scale) if isinstance(x, Fraction) else x * scale)
+        p, q, d = _parts(x)
+        k = scale // d
+        out.append(_make(p * k, q * k, 1) if q else p * k)
     return out
 
 
 def denominators_lcm(values) -> int:
-    """lcm of the denominators of the rational parts of exact values."""
-    scale = 1
-    for x in values:
-        for part in (x.a, x.b) if isinstance(x, Q2) else (x,):
-            if isinstance(part, Fraction):
-                scale = math.lcm(scale, part.denominator)
-    return scale
-
-
-def ratio(num, d):
-    """The exact quotient num / d of two integers of Z or Z[sqrt(2)], as a
-    Fraction when it is rational and a Q2 otherwise."""
-    if isinstance(num, int) and isinstance(d, int):
-        return Fraction(num, d)
-    num, d = (Q2(x.a, x.b) if isinstance(x, Z2) else Q2(x) for x in (num, d))
-    return normalize(num / d)
+    """lcm of the denominators of exact values."""
+    return math.lcm(*(_parts(x)[2] for x in values))
 
 
 Q2_ZERO = Q2(0)
@@ -295,10 +268,12 @@ def exact_cos(k: Fraction) -> Q2:
 
 # -- angles -----------------------------------------------------------------
 
+# 'k/m pi' or 'k pi/m' (k optional), as '3/4 pi', '3pi/4', 'pi/2' or '-pi'
 _ANGLE_RE = re.compile(
     r"""^\s*(?P<sign>[+-])?\s*
-        (?:(?P<num>\d+)\s*(?:/\s*(?P<den>\d+))?\s*)?
-        (?P<pi>pi|π)\s*$""",
+        (?:(?P<num>\d+)\s*(?:/\s*(?P<den>\d+)\s*)?)?
+        (?:pi|π)
+        (?(den)|\s*(?:/\s*(?P<under>\d+))?)\s*$""",
     re.VERBOSE | re.IGNORECASE,
 )
 
@@ -320,9 +295,11 @@ class Angle:
 
     @staticmethod
     def parse(text) -> "Angle":
-        """Parse '1/2 pi', 'pi', '0', '3/4pi' or a float-radian literal.
+        """Parse '1/2 pi', 'pi/2', 'pi', '0', '3/4pi', '3pi/4' or a
+        float-radian literal.
 
-        A zero denominator or a non-finite value raises DomainError.
+        Other text, a zero denominator or a non-finite value raises
+        DomainError.
         """
         if isinstance(text, Angle):
             return text
@@ -336,9 +313,8 @@ class Angle:
         m = _ANGLE_RE.match(s)
         try:
             if m:
-                num = int(m.group("num")) if m.group("num") else 1
-                den = int(m.group("den")) if m.group("den") else 1
-                k = Fraction(num, den)
+                num, den, under = (int(m.group(g) or 1) for g in ("num", "den", "under"))
+                k = Fraction(num, den * under)
                 if m.group("sign") == "-":
                     k = -k
                 return Angle.pi_frac(k)
@@ -346,7 +322,10 @@ class Angle:
                 return Angle.pi_frac(Fraction(s))  # bare rational means k*pi
             f = float(s)
         except ValueError:
-            raise DomainError(f"cannot parse angle {text!r}") from None
+            raise DomainError(
+                f"cannot parse angle {text!r}: write 'k/m pi' or 'k pi/m' (as '3/4 pi', "
+                "'3pi/4', 'pi/2'), a bare rational ('3/4' for 3/4 pi) or radians "
+                "as a decimal ('0.5')") from None
         except ZeroDivisionError:
             raise DomainError(f"angle {text!r} has a zero denominator") from None
         if not math.isfinite(f):

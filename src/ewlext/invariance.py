@@ -262,16 +262,22 @@ def _block_matrix(game: Bimatrix2, blocks) -> List[List[PayoffPair]]:
     """4x4 grid whose 2x2 blocks are linear combinations of the variants.
 
     blocks = (e, f, g, h): coefficient 4-vectors for the top-left, top-right,
-    bottom-left and bottom-right blocks, weighting Gamma^0..Gamma^3.
+    bottom-left and bottom-right blocks, weighting Gamma^0..Gamma^3.  The
+    sums are exact if every coefficient and entry is, else float.
     """
     variants = [iso_variant(game, v) for v in IsoVariant]
+    field = Field.of([*(k for coeffs in blocks for k in coeffs),
+                      *(v for row in game.delta for p in row for v in p)])
+    cells = [[[PayoffPair(*map(field.convert, g.delta[i][j])) for g in variants]
+              for j in range(2)] for i in range(2)]
     grid = [[None] * 4 for _ in range(4)]
     for b, coeffs in enumerate(blocks):
         r0, c0 = 2 * (b // 2), 2 * (b % 2)
+        coeffs = [field.convert(k) for k in coeffs]
         for i in range(2):
             for j in range(2):
-                u1 = sum(k * variants[m].delta[i][j].u1 for m, k in enumerate(coeffs))
-                u2 = sum(k * variants[m].delta[i][j].u2 for m, k in enumerate(coeffs))
+                u1 = sum(k * cell.u1 for k, cell in zip(coeffs, cells[i][j]))
+                u2 = sum(k * cell.u2 for k, cell in zip(coeffs, cells[i][j]))
                 grid[r0 + i][c0 + j] = PayoffPair(normalize(u1), normalize(u2))
     return grid
 

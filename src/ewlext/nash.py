@@ -3,7 +3,7 @@
 Support enumeration: for every pair of candidate supports, solve the
 indifference equations by fraction-free elimination (`solve_linear`), then
 keep solutions that are feasible and undominated off support.  An exact
-game is scaled once to integers (`int`, or `exactnum.Z2` for sqrt(2)
+game is scaled once to integers (`int`, or a `Q2` with d = 1 for sqrt(2)
 parts); both tests are decided on integer numerators, and only the pairs
 that pass are divided out.  Enumeration finds *all* equilibria of
 nondegenerate games, which matters more here than speed: the games of
@@ -18,7 +18,7 @@ from itertools import combinations
 from typing import List, Optional, Sequence, Tuple
 
 from .errors import DimensionMismatchError, ExactnessError
-from .exactnum import EXACT, Field, Z2, denominators_lcm, integral, ratio
+from .exactnum import EXACT, Q2, Field, denominators_lcm, integral, normalize
 from .invariance import ExtendedGame
 from .payoff import PayoffPair, format_scalar
 
@@ -37,16 +37,17 @@ def solve_linear(a_rows: List[List], rhs: List, field: Field):
     by the previous pivot is exact, and every pivot row ends with the last
     pivot d on its diagonal: x = numerator / d.  The field's pivot rule and
     zero test apply to entry / d.  Exact rows are scaled to integers (int or
-    Z2) first; float rows run the same steps in floats.
+    Q2 with d = 1) first; float rows run the same steps in floats.
 
     Returns (status, x): status 'unique', 'many' (x is the particular
     solution with free variables zero) or 'none' (x is None).  Fraction, Q2
-    or float entries give x in that field; integer entries (int, Z2) give
-    x = (numerators, d) with d > 0, so a caller can decide signs on
-    integers and divide only the solutions it keeps.
+    or float entries give x in that field; integer entries (int, Q2 with
+    d = 1) give x = (numerators, d) with d > 0, so a caller can decide signs
+    on integers and divide only the solutions it keeps.
     """
     rows = [list(r) + [v] for r, v in zip(a_rows, rhs)]
-    in_ring = field.exact and all(isinstance(v, (int, Z2)) for row in rows for v in row)
+    in_ring = field.exact and all(isinstance(v, int) or isinstance(v, Q2) and v.d == 1
+                                  for row in rows for v in row)
     if field.exact and not in_ring:
         rows = [integral(row, denominators_lcm(row)) for row in rows]
     divide = operator.floordiv if field.exact else operator.truediv
@@ -296,7 +297,7 @@ def _spread(values, support, n):
 def _value(num, d, field):
     """num / d: a Fraction, or a Q2 when irrational, in the exact field; a
     float otherwise."""
-    return ratio(num, d) if field.exact else num / d
+    return normalize(Q2.coerce(num) / d) if field.exact else num / d
 
 
 def _excess_best_responses(u1, u2, eq: "Equilibrium", field) -> bool:

@@ -48,28 +48,40 @@ class CoefficientVector(NamedTuple):
 def parse_scalar(x) -> Scalar:
     """Parse a payoff entry: exact if written as an int or 'p/q' string.
 
-    A float entry must be finite; NaN and inf raise DomainError.
+    A float entry must be finite; NaN and inf raise DomainError, and so does
+    a zero denominator.
     """
     if isinstance(x, (int, Fraction)):
         return Fraction(x)
     if not isinstance(x, float):
         s = str(x).strip()
         try:
-            return Fraction(s)
-        except ValueError:
-            pass
-        if "sqrt(2)" in s:
-            head, _, tail = s.replace(" ", "").partition("*sqrt(2)")
-            if head.endswith(("+", "-")):
-                raise ExactnessError(f"cannot parse scalar {x!r}")
-            for i in range(len(head) - 1, 0, -1):
-                if head[i] in "+-":
-                    return Q2(Fraction(head[:i]), Fraction(head[i:]))
-            return Q2(0, Fraction(head))
+            exact = _parse_exact(s)
+        except ZeroDivisionError:
+            raise DomainError(f"payoff entry {x!r} has a zero denominator") from None
+        if exact is not None:
+            return exact
         x = float(s)
     if not math.isfinite(x):
         raise DomainError(f"payoff entry {x!r} is not finite")
     return x
+
+
+def _parse_exact(s: str):
+    """'p/q' as a Fraction, 'a+b*sqrt(2)' as a Q2, None for other text."""
+    try:
+        return Fraction(s)
+    except ValueError:
+        pass
+    if "sqrt(2)" not in s:
+        return None
+    head, _, tail = s.replace(" ", "").partition("*sqrt(2)")
+    if tail or head.endswith(("+", "-")):
+        raise ExactnessError(f"cannot parse scalar {s!r}")
+    for i in range(len(head) - 1, 0, -1):
+        if head[i] in "+-":
+            return Q2(Fraction(head[:i]), Fraction(head[i:]))
+    return Q2(0, Fraction(head))
 
 
 def format_scalar(x: Scalar) -> Union[str, float]:

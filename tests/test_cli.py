@@ -1,3 +1,5 @@
+import contextlib
+import io
 import json
 import os
 import subprocess
@@ -5,6 +7,7 @@ import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 import ewlext
 from ewlext import Angle, enumerate_discrete_solutions
@@ -416,3 +419,100 @@ def test_float_equilibria_of_a_pre_extended_q_sqrt2_game(capsys, pd_file):
     code, out, _ = run(capsys, "equilibria", "--game", ext, "--mode", "float")
     assert code == 0
     assert all(isinstance(v, float) for e in json.loads(out) for v in e["p1"] + e["p2"])
+
+
+ZERO_DENOMINATOR_GAMES = [
+    '{"payoffs": [[["1/0",2],[3,4]],[[5,6],[7,8]]]}',
+    '{"payoffs": [[["1+1/0*sqrt(2)",2],[3,4]],[[5,6],[7,8]]]}',
+    '{"labels": ["a","b"], "payoffs": [[["1/0",2],[3,4]],[[5,6],[7,8]]]}',
+]
+
+
+@pytest.mark.parametrize("argv", [
+    *(["extend", "--class", "C", "--game", g] for g in ZERO_DENOMINATOR_GAMES[:2]),
+    *(["equilibria", "--game", g] for g in ZERO_DENOMINATOR_GAMES),
+    ["payoff", "--game", ZERO_DENOMINATOR_GAMES[0], "--p1", "0,0,0", "--p2", "0,0,0"],
+])
+def test_zero_denominator_entry_is_one_line_input_error(capsys, argv):
+    code, out, err = run(capsys, *argv)
+    assert code == 2 and out == ""
+    assert err.startswith("error: payoff entry ") and err.count("\n") == 1
+    assert "zero denominator" in err
+
+
+# Pieces of input, mostly valid, each with a few malformed or borderline ones.
+VALID_ENTRIES = ["3", "1/2", "-5/3", 2, 0, "1/2+3/4*sqrt(2)", "-1/4*sqrt(2)", 1.5]
+BAD_ENTRIES = ["1/0", "0/0", "1+1/0*sqrt(2)", "1/0*sqrt(2)", "nan", "inf", "-inf", "1e400",
+               "", " ", "abc", "1/2/3", "sqrt(2)", "1+sqrt(2)", "1+*sqrt(2)",
+               "1+2*sqrt(2)x", None, True, [], {}, [1, 2], 10 ** 30]
+VALID_ANGLES = ["0", "pi", "1/3 pi", "1/4 pi", "2pi/3", "-pi/4", "3/4", "7/2 pi", "0.3"]
+BAD_ANGLES = ["1/6 pi", "pi/0", "1/0 pi", "1/0", "nan", "inf", "-inf", "1e400", "",
+              "pi/", "abc", "1/2 pi/3", "2/pi"]
+
+
+def mostly(valid, bad):
+    return st.sampled_from(valid * 4 + bad)
+
+
+def one_spoiled(draw, items, bad):
+    """items with one of them replaced by a bad piece, half of the time."""
+    if items and draw(st.booleans()):
+        items[draw(st.integers(0, len(items) - 1))] = draw(st.sampled_from(bad))
+    return items
+
+
+@st.composite
+def fuzz_games(draw, extended=False):
+    if draw(st.integers(0, 4)) < 4:  # a 2x2 grid of pairs with at most one bad entry
+        flat = one_spoiled(draw, [draw(st.sampled_from(VALID_ENTRIES)) for _ in range(8)],
+                           BAD_ENTRIES)
+        rows = [[flat[0:2], flat[2:4]], [flat[4:6], flat[6:8]]]
+    else:
+        entry = mostly(VALID_ENTRIES, BAD_ENTRIES)
+        rows = draw(st.lists(st.lists(st.lists(entry, max_size=3), max_size=3), max_size=3))
+    game = {"payoffs": rows}
+    if extended:
+        game["labels"] = draw(mostly([["a", "b"]], [["a"], "ab", [1, 2]]))
+    return json.dumps(game)
+
+
+@st.composite
+def fuzz_strategies(draw):
+    parts = [draw(st.sampled_from(VALID_ANGLES)) for _ in range(draw(mostly([3], [2, 4])))]
+    parts = one_spoiled(draw, parts, BAD_ANGLES)
+    form = draw(st.sampled_from(["text", "text", "list", "object"]))
+    if form == "text":
+        return ",".join(parts)
+    return json.dumps(parts if form == "list" else dict(zip(("theta", "alpha", "beta"), parts)))
+
+
+@st.composite
+def fuzz_argv(draw):
+    command = draw(st.sampled_from(["extend", "payoff", "equilibria"]))
+    mode = ["--mode", draw(st.sampled_from(["exact", "float"]))]
+    if command == "payoff":
+        return ["payoff", "--game", draw(fuzz_games()), *mode,
+                "--p1", draw(fuzz_strategies()), "--p2", draw(fuzz_strategies())]
+    cls = ["--class", draw(st.sampled_from(["A1", "B", "C", "D1", "E2"])),
+           "--theta1", draw(mostly(VALID_ANGLES, BAD_ANGLES))]
+    if command == "extend":
+        return ["extend", *cls, "--game", draw(fuzz_games()), *mode]
+    if draw(st.booleans()):
+        return ["equilibria", "--extend-first", *cls, "--game", draw(fuzz_games()), *mode]
+    return ["equilibria", "--game", draw(fuzz_games(extended=draw(st.booleans()))), *mode]
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@example(["extend", "--class", "C", "--game", ZERO_DENOMINATOR_GAMES[0]])
+@example(["extend", "--class", "C", "--game", ZERO_DENOMINATOR_GAMES[1]])
+@given(fuzz_argv())
+def test_cli_fuzz_exits_0_or_2_without_traceback(argv):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = main(argv)
+        except SystemExit as exc:  # argparse usage errors
+            code = exc.code
+    assert code in (0, 2), (argv, err.getvalue())
+    if code == 2 and not err.getvalue().startswith("usage:"):
+        assert err.getvalue().startswith("error: ") and err.getvalue().count("\n") == 1

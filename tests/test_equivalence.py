@@ -1,3 +1,5 @@
+import math
+import random
 from fractions import Fraction
 
 import pytest
@@ -109,8 +111,16 @@ def test_empty_opponents_rejected():
         are_equivalent(IDENTITY, IX, [])
 
 
+def random_su2_opponents(count: int, seed: int = 0):
+    """Haar-ish random sampled opponents for a stricter equivalence check."""
+    rng = random.Random(seed)
+    return [canonicalize(math.acos(rng.uniform(-1.0, 1.0)),
+                         rng.uniform(0.0, 2.0 * math.pi), rng.uniform(0.0, 2.0 * math.pi))
+            for _ in range(count)]
+
+
 def test_sampled_opponents_distinguish_finite_set_equivalence():
-    from ewlext import phi, random_su2_opponents
+    from ewlext import phi
 
     sampled = random_su2_opponents(24, seed=5)
     # a global-sign pair stays equivalent against sampled opponents

@@ -6,6 +6,7 @@ import pytest
 
 from ewlext import (
     Angle,
+    Bimatrix2,
     ClassId,
     ClassParams,
     InvalidClassParams,
@@ -322,3 +323,17 @@ def test_float_a_congruence_is_symmetric_about_multiples_of_pi():
             a1(sign * 0.3, sign * (math.pi - 0.3) + offset).validate()
         with pytest.raises(InvalidClassParams, match=r"violated alpha1 \+ beta2 = n pi"):
             a1(sign * 0.3, sign * (math.pi - 0.3) + 1e-6).validate()
+
+
+@pytest.mark.parametrize("cls,theta1", [("C", "1/4 pi"), ("E1", "1/3 pi"), ("D2", "3/4 pi")])
+def test_extension_matrix_of_a_float_game_is_float(cls, theta1):
+    # the block coefficients are exact, some in Q(sqrt(2)); a float game makes
+    # every sum float rather than mixing the two
+    floated = Bimatrix2.from_rows([[(3.0, 3.0), (0.0, 5.0)], [(5.0, 0.0), (1.0, 1.0)]])
+    params = ClassParams.create(cls, theta1=theta1)
+    want = extension_matrix(params, PRISONERS_DILEMMA)
+    got = extension_matrix(params, floated)
+    for row_w, row_g in zip(want.payoffs, got.payoffs):
+        for w, g in zip(row_w, row_g):
+            assert all(isinstance(v, float) for v in g)
+            assert abs(float(w.u1) - g.u1) < 1e-12 and abs(float(w.u2) - g.u2) < 1e-12

@@ -227,6 +227,19 @@ def test_parse_scalar_rejects_non_finite(value):
         parse_scalar(value)
 
 
+@pytest.mark.parametrize("value", ["1/0", "-3/0", "0/0", "1+1/0*sqrt(2)", "1/0+1*sqrt(2)",
+                                   "1/0*sqrt(2)"])
+def test_parse_scalar_rejects_zero_denominator(value):
+    with pytest.raises(DomainError, match="zero denominator"):
+        parse_scalar(value)
+
+
+@pytest.mark.parametrize("value", ["1+2*sqrt(2)x", "1+*sqrt(2)"])
+def test_parse_scalar_rejects_text_around_sqrt2(value):
+    with pytest.raises(ExactnessError, match="cannot parse"):
+        parse_scalar(value)
+
+
 def test_game_json_round_trip():
     game = PRISONERS_DILEMMA
     again = Bimatrix2.from_json(game.to_json())

@@ -22,7 +22,7 @@ from ewlext import (
     strongly_isomorphic,
     verify_equilibrium,
 )
-from ewlext.exactnum import EXACT, Field, Z2, ratio
+from ewlext.exactnum import EXACT, Field, normalize
 from ewlext.nash import PIVOT_TOL, solve_linear
 
 QUARTER_THETAS = [Fraction(k, 4) for k in range(5)]
@@ -144,7 +144,7 @@ def gauss_jordan_reference(a_rows, rhs, field):
 @st.composite
 def linear_systems(draw):
     """(kind, A, b): up to 5 x 6 with rational, Q(sqrt(2)), float or ring
-    integer (int and Z2) entries; some with a dependent last row, consistent
+    integer (int and Q2 with d = 1) entries; some with a dependent last row, consistent
     or not."""
     kind = draw(st.sampled_from(["rational", "q2", "float", "integer"]))
     m, n = draw(st.integers(1, 5)), draw(st.integers(1, 6))
@@ -153,7 +153,7 @@ def linear_systems(draw):
     def entry():
         if kind == "integer":
             a, b = draw(small), draw(st.sampled_from([0, 0, 1, -2]))
-            return Z2(a, b) if b else a
+            return Q2(a, b) if b else a
         a = Fraction(draw(small), draw(st.integers(1, 4)))
         if kind == "q2":
             return Q2(a, Fraction(draw(small), draw(st.integers(1, 3))))
@@ -168,23 +168,22 @@ def linear_systems(draw):
     return kind, [r[:-1] for r in rows], [r[-1] for r in rows]
 
 
-def as_q2(x):
-    return Q2(x.a, x.b) if isinstance(x, Z2) else Q2(x)
-
-
 @settings(max_examples=150, deadline=None, derandomize=True)
 @given(linear_systems())
 def test_solve_linear_matches_field_gauss_jordan(system):
     kind, a_rows, rhs = system
     field = Field(PIVOT_TOL) if kind == "float" else EXACT
     status, x = solve_linear(a_rows, rhs, field)
-    if kind == "integer":  # ring entries: numerators over d > 0
+    # integer entries, and Q2 ones that all have d = 1, lie in the ring
+    # Z[sqrt(2)]: they give numerators over d > 0
+    if kind != "float" and all(isinstance(v, int) or isinstance(v, Q2) and v.d == 1
+                               for v in [*(v for row in a_rows for v in row), *rhs]):
         if x is not None:
             nums, d = x
             assert d > 0
-            x = [ratio(v, d) for v in nums]
-        a_rows = [[as_q2(v) for v in row] for row in a_rows]
-        rhs = [as_q2(v) for v in rhs]
+            x = [normalize(Q2.coerce(v) / d) for v in nums]
+        a_rows = [[Q2.coerce(v) for v in row] for row in a_rows]
+        rhs = [Q2.coerce(v) for v in rhs]
     want_status, want = gauss_jordan_reference(a_rows, rhs, field)
     assert status == want_status
     if status == "none":
