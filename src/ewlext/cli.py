@@ -34,6 +34,8 @@ from .solver import LatticeSpec, search_solutions
 from .su2 import StrategyParams
 
 ORACLE_TOL = 1e-10
+_CLASS_ANGLES = ("theta1", "alpha1", "beta1", "alpha2", "beta2")
+_ANGLE_OPTIONS = {f"--{name}" for name in (*_CLASS_ANGLES, "theta", "p1", "p2")}
 
 
 class InputError(Exception):
@@ -77,14 +79,7 @@ def _parse_strategy_list(text: str) -> List[StrategyParams]:
 
 
 def _class_params(args) -> ClassParams:
-    return ClassParams.create(
-        args.cls,
-        theta1=args.theta1,
-        alpha1=args.alpha1,
-        beta1=args.beta1,
-        alpha2=args.alpha2,
-        beta2=args.beta2,
-    )
+    return ClassParams.create(args.cls, **{name: getattr(args, name) for name in _CLASS_ANGLES})
 
 
 def _resolve_strategies(args) -> List[StrategyParams]:
@@ -315,11 +310,8 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--class", dest="cls",
                        choices=[c.value for c in ClassId],
                        help="extension class shortcut")
-        p.add_argument("--theta1")
-        p.add_argument("--alpha1")
-        p.add_argument("--beta1")
-        p.add_argument("--alpha2")
-        p.add_argument("--beta2")
+        for name in _CLASS_ANGLES:
+            p.add_argument(f"--{name}")
         p.add_argument("--set", help="explicit JSON list of strategy parameter triples")
 
     p = sub.add_parser("extend", help="materialize a 4x4 extension bimatrix")
@@ -370,13 +362,16 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv: Optional[List[str]] = None) -> int:
     parser = build_parser()
-    args = parser.parse_args(argv)
+    joined: List[str] = []
+    for arg in sys.argv[1:] if argv is None else argv:  # argparse takes "-pi/4" for an option
+        if joined and joined[-1] in _ANGLE_OPTIONS and arg[:1] == "-" and arg[:2] != "--":
+            joined[-1] += "=" + arg
+        else:
+            joined.append(arg)
+    args = parser.parse_args(joined)
     try:
         return args.func(args)
-    except InputError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except EwlError as exc:
+    except (InputError, EwlError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

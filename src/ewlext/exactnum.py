@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import math
 import re
+import sys
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, lru_cache
@@ -129,7 +130,11 @@ class Q2:
     def __hash__(self):
         if self.q:
             return hash((self.p, self.q, self.d))
-        return hash(self.p) if self.d == 1 else hash(Fraction(self.p, self.d))
+        try:  # Python's numeric hash of p/d, computed as Fraction.__hash__ does
+            h = hash(hash(abs(self.p)) * pow(self.d, -1, sys.hash_info.modulus))
+        except ValueError:  # d is a multiple of the modulus
+            return hash(Fraction(self.p, self.d))
+        return h if self.p >= 0 else -2 if h == 1 else -h
 
     def __lt__(self, other):
         return self._cmp(other) < 0

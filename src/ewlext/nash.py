@@ -5,9 +5,9 @@ indifference equations by fraction-free elimination (`solve_linear`), then
 keep solutions that are feasible and undominated off support.  An exact
 game is scaled once to integers (`int`, or a `Q2` with d = 1 for sqrt(2)
 parts); both tests are decided on integer numerators, and only the pairs
-that pass are divided out.  Enumeration finds *all* equilibria of
-nondegenerate games, which matters more here than speed: the games of
-interest are 4x4.
+that pass are divided out.  A pair with a strategy conditionally dominated on
+the opponent's support is skipped unsolved (Porter, Nudelman and Shoham,
+GEB 63, 2008): on 4x4 extensions a quarter of the systems remain to solve.
 """
 
 from __future__ import annotations
@@ -210,6 +210,12 @@ def mixed_equilibria(g: ExtendedGame, mode: str = "auto") -> EquilibriumReport:
     one member of the family is sampled, the family is not enumerated.
     The arithmetic is exact when mode is not 'float' and every entry is
     exact, else float: elimination at PIVOT_TOL, deviations at DEVIATION_TOL.
+
+    A pair (R, C) is skipped unsolved when some r in R is beaten by another
+    pure r' on every column of C (or likewise some c in C on R).  Every mix q
+    over C gives u1[r'].q > u1[r].q, so if r' is in R the indifference system
+    has no feasible solution, and if not, the best-response test rejects the
+    pair.  The report is the same (in floats, up to rounding at DEVIATION_TOL).
     """
     n = g.n
     if n > 6:
@@ -235,8 +241,13 @@ def mixed_equilibria(g: ExtendedGame, mode: str = "auto") -> EquilibriumReport:
     all_supports = [
         s for size in range(1, n + 1) for s in combinations(range(n), size)
     ]
+    beaten1, beaten2 = ({s: _dominated(grid, s, field) for s in all_supports}
+                        for grid in (s1, s2_t))
     for rows_supp in all_supports:
         for cols_supp in all_supports:
+            if (beaten1[cols_supp].intersection(rows_supp)
+                    or beaten2[rows_supp].intersection(cols_supp)):
+                continue
             # player 2's mix over cols_supp makes rows_supp indifferent
             q_sol, q_deg = _indifference_solution(s1, cols_supp, rows_supp, linear, field)
             if q_sol is None:
@@ -284,6 +295,12 @@ def mixed_equilibria(g: ExtendedGame, mode: str = "auto") -> EquilibriumReport:
         _excess_best_responses(u1, u2, e, field) for e in ordered
     )
     return EquilibriumReport(tuple(ordered), degenerate)
+
+
+def _dominated(values, support, field) -> frozenset:
+    """Rows of values that another row beats on every column in support."""
+    return frozenset(r for r, row in enumerate(values) if any(
+        all(field.exceeds(other[c], row[c]) for c in support) for other in values))
 
 
 def _spread(values, support, n):

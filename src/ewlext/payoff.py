@@ -10,13 +10,14 @@ to mistranscribe while the statevector route is short.
 from __future__ import annotations
 
 import math
+import re
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from typing import TYPE_CHECKING, List, NamedTuple, Tuple, Union
 
 from .errors import DimensionMismatchError, DomainError, ExactnessError
-from .exactnum import Q2, Field, exact_cos, normalize, scalar_is_exact
+from .exactnum import Q2, Field, _parts, exact_cos, normalize, scalar_is_exact
 from .su2 import StrategyParams, unitary_entries
 
 if TYPE_CHECKING:
@@ -26,6 +27,8 @@ Scalar = Union[Fraction, Q2, float, int]
 
 _HALF = Fraction(1, 2)
 _QUARTER = Fraction(1, 4)
+_MAX_DIGITS = 4000  # exact numerators and denominators; str(int) stops at 4300
+_EXACT_LIMIT = 10 ** _MAX_DIGITS
 
 
 class PayoffPair(NamedTuple):
@@ -49,22 +52,31 @@ def parse_scalar(x) -> Scalar:
     """Parse a payoff entry: exact if written as an int or 'p/q' string.
 
     A float entry must be finite; NaN and inf raise DomainError, and so does
-    a zero denominator.
+    a zero denominator or an exact part of more than _MAX_DIGITS digits.
     """
     if isinstance(x, (int, Fraction)):
-        return Fraction(x)
+        return _bounded(Fraction(x), x)
     if not isinstance(x, float):
         s = str(x).strip()
+        if re.search(r"[eE][-+]?\d{5}", s):  # Fraction would build 10**exponent first
+            raise DomainError(f"exact payoff entry {x!r} exceeds {_MAX_DIGITS} digits")
         try:
             exact = _parse_exact(s)
         except ZeroDivisionError:
             raise DomainError(f"payoff entry {x!r} has a zero denominator") from None
         if exact is not None:
-            return exact
+            return _bounded(exact, x)
         x = float(s)
     if not math.isfinite(x):
         raise DomainError(f"payoff entry {x!r} is not finite")
     return x
+
+
+def _bounded(v, x):
+    """v, unless a numerator or the denominator of v exceeds _MAX_DIGITS digits."""
+    if max(map(abs, _parts(v))) >= _EXACT_LIMIT:
+        raise DomainError(f"exact payoff entry {x!r} exceeds {_MAX_DIGITS} digits")
+    return v
 
 
 def _parse_exact(s: str):

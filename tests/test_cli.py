@@ -375,6 +375,59 @@ def test_payoff_non_finite_float_entry_is_input_error(capsys, entry):
     assert err.rstrip().endswith("is not finite")
 
 
+@pytest.mark.parametrize("entry", ["1e-5000", "1e-4000", "0e12345", "-1e99999999999",
+                                   "1/" + "9" * 4001, "1e-3999+1e4000*sqrt(2)"])
+def test_exact_entry_beyond_4000_digits_is_one_line_input_error(capsys, entry):
+    game = f'{{"payoffs": [[["{entry}", 2], [3, 4]], [[5, 6], [7, 8]]]}}'
+    code, out, err = run(capsys, "payoff", "--game", game, "--p1", "0,0,0", "--p2", "0,0,0")
+    assert code == 2 and out == ""
+    assert err.startswith("error: exact payoff entry ") and err.count("\n") == 1
+    assert err.rstrip().endswith("exceeds 4000 digits")
+
+
+def test_exact_entry_of_4000_digits_is_printed(capsys):
+    game = '{"payoffs": [[["1e-3999", 2], [3, 4]], [[5, 6], [7, 8]]]}'
+    code, out, _ = run(capsys, "payoff", "--game", game, "--p1", "0,0,0", "--p2", "0,0,0")
+    assert code == 0
+    assert json.loads(out)["u1"] == "1/1" + "0" * 3999
+
+
+@pytest.mark.parametrize("option,value,argv,code", [
+    ("--alpha1", "-pi/4", ["extend", "--class", "A1"], 0),
+    ("--beta1", "-1/4 pi", ["extend", "--class", "A1"], 0),
+    ("--alpha2", "-pi/4", ["extend", "--class", "C"], 0),
+    ("--beta2", "-pi/4", ["extend", "--class", "C"], 0),
+    ("--alpha2", "-pi/2", ["equilibria", "--extend-first", "--class", "A2"], 0),
+    # a theta below 0 is refused as an input error, not a usage error
+    ("--theta1", "-pi/3", ["verify", "--class", "C"], 2),
+    ("--p1", "-pi/4,0,0", ["payoff", "--p2", "0,0,0"], 2),
+    ("--p2", "-1/2 pi,-pi,0", ["payoff", "--p1", "0,0,0"], 2),
+])
+def test_negative_angle_may_follow_its_option(capsys, pd_file, option, value, argv, code):
+    joined = run(capsys, *argv, "--game", pd_file, f"{option}={value}")
+    assert run(capsys, *argv, "--game", pd_file, option, value) == joined
+    assert joined[0] == code
+    assert joined[2] == "" if code == 0 else joined[2].startswith("error: ")
+
+
+def test_negative_theta_may_follow_its_option_in_enumerate(capsys):
+    code, out, err = run(capsys, "enumerate", "--theta", "-1/2 pi")
+    assert code == 2 and out == "" and "outside [0, pi]" in err
+
+
+@pytest.mark.parametrize("argv", [
+    ["extend", "--class", "A1", "--alpha1"],
+    ["extend", "--class", "A1", "--alpha1", "--beta1", "0"],
+    ["extend", "--class", "A1", "--theta1", "-pi/4", "--gam"],
+    ["payoff", "--p1", "-pi/4,0,0", "--p2", "0,0,0", "-x"],
+])
+def test_usage_errors_around_angle_options_still_exit_2(capsys, pd_file, argv):
+    with pytest.raises(SystemExit) as exc:
+        main([*argv, "--game", pd_file])
+    assert exc.value.code == 2
+    assert capsys.readouterr().err.startswith("usage:")
+
+
 def test_extend_empty_set_is_input_error(capsys, pd_file):
     code, out, err = run(capsys, "extend", "--set", "[]", "--game", pd_file)
     assert code == 2

@@ -1,5 +1,6 @@
 import math
 import random
+import sys
 from fractions import Fraction
 
 import pytest
@@ -107,6 +108,14 @@ def test_q2_order_is_exact():
     assert abs(Q2(1) - r) == r - 1
     assert Q2(Fraction(1, 2)) == Fraction(1, 2)
     assert hash(Q2(Fraction(1, 2))) == hash(Fraction(1, 2))
+
+
+def test_q2_rational_hash_at_the_modulus_edges():
+    m = sys.hash_info.modulus
+    for p, d in [(-1, m + 1), (1, m + 1), (1, m), (-3, 2 * m), (m, 7), (-m - 2, 3),
+                 (-(10 ** 40 + 1), 10 ** 39)]:
+        f = Fraction(p, d)
+        assert hash(Q2(f)) == hash(f)
 
 
 def test_q2_division_by_zero():

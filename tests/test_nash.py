@@ -1,6 +1,7 @@
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from ewlext import (
     Bimatrix2,
@@ -16,7 +17,9 @@ from ewlext import (
     pure_equilibria,
     verify_equilibrium,
 )
+from ewlext import nash
 from ewlext.equivalence import EXACT, Field
+from ewlext.exactnum import normalize
 from ewlext.nash import PIVOT_TOL, solve_linear
 from conftest import random_rational_game
 
@@ -224,3 +227,44 @@ def test_float_mode_converts_exact_entries(theta1):
                         f.profile.p1 + f.profile.p2 + tuple(f.payoff)):
             assert isinstance(y, float) and abs(float(x) - y) <= 1e-9
         assert verify_equilibrium(ext, f)
+
+
+def unpruned(game):
+    """mixed_equilibria with no strategy ever counted as dominated."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(nash, "_dominated", lambda *args: frozenset())
+        return mixed_equilibria(game)
+
+
+@st.composite
+def small_games(draw):
+    """2x2 to 4x4 games: small integers (many ties, so many degenerate games),
+    Q(sqrt(2)) entries, or floats built from small integers."""
+    n = draw(st.integers(2, 4))
+    small = st.integers(-2, 2)
+    entry = draw(st.sampled_from([
+        small.map(F),
+        st.builds(lambda a, b: normalize(Q2(a, F(b, 2))), small, small),
+        st.builds(lambda a, b: a / 4 + b, small, small),
+    ]))
+    cells = draw(st.lists(st.tuples(entry, entry), min_size=n * n, max_size=n * n))
+    return ExtendedGame(tuple(f"s{i}" for i in range(n)),
+                        tuple(tuple(cells[i * n:(i + 1) * n]) for i in range(n)))
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(small_games())
+def test_dominance_pruning_keeps_the_report(game):
+    # profiles, payoffs, supports, order and the degenerate flag
+    assert mixed_equilibria(game) == unpruned(game)
+
+
+def test_dominance_pruning_solves_fewer_systems(monkeypatch):
+    ext = extension_matrix(ClassParams.create("C", theta1="1/4 pi"), PD)
+    calls = []
+    monkeypatch.setattr(nash, "solve_linear",
+                        lambda *args, real=solve_linear: calls.append(1) or real(*args))
+    report = mixed_equilibria(ext)
+    pruned = len(calls)
+    assert unpruned(ext) == report
+    assert 0 < 3 * pruned < len(calls) - pruned
