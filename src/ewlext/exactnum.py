@@ -6,12 +6,14 @@ stay inside the quadratic field Q(sqrt(2)), so one exact number type, Q2 =
 (p + q*sqrt(2))/d on ints, is enough to avoid floating point everywhere it
 matters; its d = 1 elements are the ring Z[sqrt(2)] that fraction-free
 elimination runs in.
-Field decides how two scalars compare, exactly or within a tolerance.
+Field decides how two scalars compare, exactly or within a tolerance, and
+sums products of vectors of them (exactly on int numerators).
 """
 
 from __future__ import annotations
 
 import math
+import operator
 import re
 import sys
 from dataclasses import dataclass
@@ -77,6 +79,8 @@ class Q2:
     def __sub__(self, other):
         p, q, d = _parts(other)
         if d == self.d:
+            if d == 1:
+                return _make(self.p - p, self.q - q, 1)
             return _reduced(self.p - p, self.q - q, d)
         return _reduced(self.p * d - p * self.d, self.q * d - q * self.d, self.d * d)
 
@@ -89,6 +93,8 @@ class Q2:
     def __mul__(self, other):
         p, q, d = _parts(other)
         # (a + b r)(c + e r) = ac + 2be + (ae + bc) r, with r = sqrt(2)
+        if d == 1 == self.d:
+            return _make(self.p * p + 2 * self.q * q, self.p * q + self.q * p, 1)
         return _reduced(self.p * p + 2 * self.q * q, self.p * q + self.q * p, self.d * d)
 
     __rmul__ = __mul__
@@ -106,10 +112,17 @@ class Q2:
         return Q2.coerce(other) / self
 
     def __floordiv__(self, other):
-        x = self / other
-        if x.d != 1:
+        p, q, d = _parts(other)
+        # (a + b r)/s divided by (c + e r)/d is (a + b r)(c - e r) d/(s n),
+        # n = c^2 - 2e^2: in Z[sqrt(2)] exactly when s n divides both parts
+        n = (p * p - 2 * q * q) * self.d
+        if n == 0:
+            raise ZeroDivisionError("division by zero in Q2")
+        x, rx = divmod((self.p * p - 2 * self.q * q) * d, n)
+        y, ry = divmod((self.q * p - self.p * q) * d, n)
+        if rx or ry:
             raise ArithmeticError(f"{self} is not divisible by {other} in Z[sqrt(2)]")
-        return x
+        return _make(x, y, 1)
 
     def __rfloordiv__(self, other):
         return Q2.coerce(other) // self
@@ -202,6 +215,12 @@ def _parts(x):
 def normalize(x):
     """A rational Q2 as its Fraction; any other scalar unchanged."""
     return x.a if isinstance(x, Q2) and x.q == 0 else x
+
+
+def from_parts(p: int, q: int, d: int):
+    """(p + q*sqrt(2))/d for ints, d != 0, in normalize's types: a Fraction
+    when q = 0, else a Q2."""
+    return _reduced(p, q, d) if q else Fraction(p, d)
 
 
 def scalar_is_exact(x) -> bool:
@@ -446,14 +465,6 @@ class Field:
     def exact(self) -> bool:
         return self.tol is None
 
-    @property
-    def zero(self):
-        return Fraction(0) if self.exact else 0.0
-
-    @property
-    def one(self):
-        return Fraction(1) if self.exact else 1.0
-
     def convert(self, x):
         """x in this field: a float in a float field; in the exact field
         ints become Fractions, so exact results are Fractions."""
@@ -476,6 +487,32 @@ class Field:
             return next((i for i, v in enumerate(values) if v != 0), None)
         best = max(range(len(values)), key=lambda i: abs(values[i]))
         return None if self.is_zero(values[best], d) else best
+
+    def vector(self, xs):
+        """xs as dot takes it: floats in a float field; in the exact field
+        (ps, qs, d), each x as (p + q*sqrt(2))/d over one common d."""
+        if not self.exact:
+            return [float(x) for x in xs]
+        parts = [_parts(x) for x in xs]
+        d = math.lcm(*[e for _, _, e in parts])
+        return [p * (d // e) for p, _, e in parts], [q * (d // e) for _, q, e in parts], d
+
+    def dot(self, xs, ys):
+        """sum of x*y over two vectors of equal length, given as vector
+        gives them, so a vector used in many dots is converted once.
+
+        Exact: the sum runs on the int numerators and is reduced once; the
+        result has normalize's types.  Float: the builtin sum of the
+        products, in order, from 0.0.
+        """
+        if not self.exact:
+            return sum(map(operator.mul, xs, ys), 0.0)
+        (xp, xq, dx), (yp, yq, dy) = xs, ys
+        mul = operator.mul
+        # (a + b r)(c + e r) = ac + 2be + (ae + bc) r, with r = sqrt(2)
+        p = sum(map(mul, xp, yp)) + 2 * sum(map(mul, xq, yq))
+        q = sum(map(mul, xp, yq)) + sum(map(mul, xq, yp))
+        return from_parts(p, q, dx * dy)
 
     def key(self, x):
         """Dedupe key: the value itself, or its index on a grid of step tol."""

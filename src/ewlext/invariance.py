@@ -12,9 +12,9 @@ from typing import List, Optional, Sequence, Tuple
 
 from .equivalence import _classes, coefficient_row, row_keys
 from .errors import DimensionMismatchError
-from .exactnum import EXACT, Field, normalize
-from .payoff import (Bimatrix2, PayoffPair, format_grid, format_scalar, parse_grid,
-                     payoff_closed_form)
+from .exactnum import EXACT, Field
+from .payoff import (Bimatrix2, PayoffPair, coefficient_grid, format_grid, format_scalar,
+                     parse_grid, payoff_grid)
 from .su2 import StrategyParams, phi
 
 
@@ -95,13 +95,14 @@ class ExtendedGame:
 def build_extended_game(game: Bimatrix2, strategies: Sequence[StrategyParams],
                         mode: str = "auto") -> ExtendedGame:
     """Payoff bimatrix of the quantized game over a finite strategy set."""
-    if not strategies:
+    return _extension(game, coefficient_grid(strategies, mode=mode))
+
+
+def _extension(game: Bimatrix2, grid) -> ExtendedGame:
+    """The extended game of a coefficient grid (see coefficient_grid)."""
+    if not grid:
         raise ValueError("strategies must be nonempty")
-    grid = tuple(
-        tuple(payoff_closed_form(game, p, q, mode=mode) for q in strategies)
-        for p in strategies
-    )
-    return ExtendedGame(default_labels(len(strategies)), grid)
+    return ExtendedGame(default_labels(len(grid)), payoff_grid(game, grid))
 
 
 def default_labels(n: int) -> Tuple[str, ...]:
@@ -230,12 +231,17 @@ def verify_invariance_end_to_end(game: Bimatrix2,
                                  mode: str = "auto",
                                  tol: float = 0.0) -> InvarianceReport:
     """Build the extension of the game and of each swapped variant over the
-    same strategy set, and search for strong-isomorphism witnesses."""
-    base = build_extended_game(game, strategies, mode=mode)
+    same strategy set, and search for strong-isomorphism witnesses.
+
+    A variant only permutes the game's four cells, so all four extensions
+    are weighted sums over one coefficient grid, computed once.
+    """
+    grid = coefficient_grid(strategies, mode=mode)
+    base = _extension(game, grid)
     witnesses = []
     ok = True
     for v in (IsoVariant.GAMMA1, IsoVariant.GAMMA2, IsoVariant.GAMMA3):
-        other = build_extended_game(iso_variant(game, v), strategies, mode=mode)
+        other = _extension(iso_variant(game, v), grid)
         found = strongly_isomorphic(base, other, tol=tol)
         if found is None:
             ok = False
@@ -268,17 +274,17 @@ def _block_matrix(game: Bimatrix2, blocks) -> List[List[PayoffPair]]:
     variants = [iso_variant(game, v) for v in IsoVariant]
     field = Field.of([*(k for coeffs in blocks for k in coeffs),
                       *(v for row in game.delta for p in row for v in p)])
-    cells = [[[PayoffPair(*map(field.convert, g.delta[i][j])) for g in variants]
+    # cells[i][j][u]: player u's entry in cell (i, j) of Gamma^0..Gamma^3
+    cells = [[[field.vector(g.delta[i][j][u] for g in variants) for u in (0, 1)]
               for j in range(2)] for i in range(2)]
     grid = [[None] * 4 for _ in range(4)]
     for b, coeffs in enumerate(blocks):
         r0, c0 = 2 * (b // 2), 2 * (b % 2)
-        coeffs = [field.convert(k) for k in coeffs]
+        coeffs = field.vector(coeffs)
         for i in range(2):
             for j in range(2):
-                u1 = sum(k * cell.u1 for k, cell in zip(coeffs, cells[i][j]))
-                u2 = sum(k * cell.u2 for k, cell in zip(coeffs, cells[i][j]))
-                grid[r0 + i][c0 + j] = PayoffPair(normalize(u1), normalize(u2))
+                u1, u2 = cells[i][j]
+                grid[r0 + i][c0 + j] = PayoffPair(field.dot(coeffs, u1), field.dot(coeffs, u2))
     return grid
 
 

@@ -18,7 +18,8 @@ from itertools import combinations
 from typing import List, Optional, Sequence, Tuple
 
 from .errors import DimensionMismatchError, ExactnessError
-from .exactnum import EXACT, Q2, Field, denominators_lcm, integral, normalize
+from .exactnum import (EXACT, Q2, Field, _parts, denominators_lcm, from_parts, integral,
+                       normalize)
 from .invariance import ExtendedGame
 from .payoff import PayoffPair, format_scalar
 
@@ -163,12 +164,11 @@ def best_response_values(g: ExtendedGame, opponent_mix: Sequence, side: str = "r
             f"opponent mix has {len(opponent_mix)} entries for a {n}x{n} game"
         )
     field = Field.of([*opponent_mix, *(v for row in g.payoffs for p in row for v in p)])
-    u1, u2 = _payoff_grids(g, field)
-    mix = [field.convert(p) for p in opponent_mix]
+    mix = field.vector(opponent_mix)
     if side == "row":
-        return [sum(u1[i][j] * mix[j] for j in range(n)) for i in range(n)]
+        return [field.dot(field.vector(c.u1 for c in row), mix) for row in g.payoffs]
     if side == "col":
-        return [sum(u2[i][j] * mix[i] for i in range(n)) for j in range(n)]
+        return [field.dot(field.vector(c.u2 for c in col), mix) for col in zip(*g.payoffs)]
     raise ValueError(f"side must be 'row' or 'col', got {side!r}")
 
 
@@ -314,7 +314,12 @@ def _spread(values, support, n):
 def _value(num, d, field):
     """num / d: a Fraction, or a Q2 when irrational, in the exact field; a
     float otherwise."""
-    return normalize(Q2.coerce(num) / d) if field.exact else num / d
+    if not field.exact:
+        return num / d
+    if isinstance(d, int):
+        p, q, e = _parts(num)
+        return from_parts(p, q, e * d)
+    return normalize(Q2.coerce(num) / d)
 
 
 def _excess_best_responses(u1, u2, eq: "Equilibrium", field) -> bool:

@@ -17,7 +17,8 @@ from functools import lru_cache
 from typing import TYPE_CHECKING, List, NamedTuple, Tuple, Union
 
 from .errors import DimensionMismatchError, DomainError, ExactnessError
-from .exactnum import Q2, Field, _parts, exact_cos, normalize, scalar_is_exact
+from .exactnum import (EXACT, FLOAT_TOL, Q2, Field, _parts, exact_cos, normalize,
+                       scalar_is_exact)
 from .su2 import StrategyParams, unitary_entries
 
 if TYPE_CHECKING:
@@ -29,6 +30,7 @@ _HALF = Fraction(1, 2)
 _QUARTER = Fraction(1, 4)
 _MAX_DIGITS = 4000  # exact numerators and denominators; str(int) stops at 4300
 _EXACT_LIMIT = 10 ** _MAX_DIGITS
+_FLOAT = Field(FLOAT_TOL)
 
 
 class PayoffPair(NamedTuple):
@@ -91,7 +93,7 @@ def _parse_exact(s: str):
     if tail or head.endswith(("+", "-")):
         raise ExactnessError(f"cannot parse scalar {s!r}")
     for i in range(len(head) - 1, 0, -1):
-        if head[i] in "+-":
+        if head[i] in "+-" and head[i - 1] not in "eE":  # not an exponent's sign
             return Q2(Fraction(head[:i]), Fraction(head[i:]))
     return Q2(0, Fraction(head))
 
@@ -243,19 +245,39 @@ def coefficients(p1: StrategyParams, p2: StrategyParams,
 # -- payoffs -----------------------------------------------------------------
 
 
-def _combine(game: Bimatrix2, c: CoefficientVector) -> PayoffPair:
+def coefficient_grid(strategies, mode: str = "auto") -> tuple:
+    """coefficients(p, q) for every pair of strategies: row p, column q.
+
+    The grid depends on the strategies only, so the extensions of a game and
+    of its swapped variants over the same set share one.
+    """
+    return tuple(tuple(coefficients(p, q, mode=mode) for q in strategies) for p in strategies)
+
+
+def payoff_grid(game: Bimatrix2, grid) -> Tuple[Tuple[PayoffPair, ...], ...]:
+    """Both players' payoffs for every coefficient vector of a grid: the
+    vector's weighted sum of the game's entries, exact when the vector and
+    the game are, else in floats."""
     cells = (game.delta[0][0], game.delta[0][1], game.delta[1][0], game.delta[1][1])
-    field = Field.of([*c, *(v for p in cells for v in p)])
-    c = [field.convert(k) for k in c]
-    u1 = sum((k * field.convert(p.u1) for k, p in zip(c, cells)), field.zero)
-    u2 = sum((k * field.convert(p.u2) for k, p in zip(c, cells)), field.zero)
-    return PayoffPair(normalize(u1), normalize(u2))
+    entries = [p.u1 for p in cells], [p.u2 for p in cells]
+    exact = game.is_exact
+    vectors = {}  # field -> both players' entries, converted once per game
+
+    def pair(c):
+        field = EXACT if exact and scalar_is_exact(c.c00) else _FLOAT
+        if field not in vectors:  # floats only on demand: an exact entry may overflow one
+            vectors[field] = [field.vector(u) for u in entries]
+        u1, u2 = vectors[field]
+        c = field.vector(c)
+        return PayoffPair(field.dot(c, u1), field.dot(c, u2))
+
+    return tuple(tuple(map(pair, row)) for row in grid)
 
 
 def payoff_closed_form(game: Bimatrix2, p1: StrategyParams, p2: StrategyParams,
                        mode: str = "auto") -> PayoffPair:
     """Both players' payoffs as the coefficient-weighted sum of game entries."""
-    return _combine(game, coefficients(p1, p2, mode=mode))
+    return payoff_grid(game, ((coefficients(p1, p2, mode=mode),),))[0][0]
 
 
 # -- statevector oracle -------------------------------------------------------

@@ -376,7 +376,8 @@ def test_payoff_non_finite_float_entry_is_input_error(capsys, entry):
 
 
 @pytest.mark.parametrize("entry", ["1e-5000", "1e-4000", "0e12345", "-1e99999999999",
-                                   "1/" + "9" * 4001, "1e-3999+1e4000*sqrt(2)"])
+                                   "1/" + "9" * 4001, "1e-3999+1e4000*sqrt(2)",
+                                   "3+1e-4001*sqrt(2)"])
 def test_exact_entry_beyond_4000_digits_is_one_line_input_error(capsys, entry):
     game = f'{{"payoffs": [[["{entry}", 2], [3, 4]], [[5, 6], [7, 8]]]}}'
     code, out, err = run(capsys, "payoff", "--game", game, "--p1", "0,0,0", "--p2", "0,0,0")
@@ -390,6 +391,13 @@ def test_exact_entry_of_4000_digits_is_printed(capsys):
     code, out, _ = run(capsys, "payoff", "--game", game, "--p1", "0,0,0", "--p2", "0,0,0")
     assert code == 0
     assert json.loads(out)["u1"] == "1/1" + "0" * 3999
+
+
+def test_exact_entry_with_an_exponent_in_its_sqrt2_part_is_read(capsys):
+    game = '{"payoffs": [[["3+1e-3*sqrt(2)", 2], [3, 4]], [[5, 6], [7, 8]]]}'
+    code, out, _ = run(capsys, "payoff", "--game", game, "--p1", "0,0,0", "--p2", "0,0,0")
+    assert code == 0
+    assert json.loads(out)["u1"] == "3+1/1000*sqrt(2)"
 
 
 @pytest.mark.parametrize("option,value,argv,code", [

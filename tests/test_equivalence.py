@@ -140,8 +140,9 @@ def test_field_comparison_rules():
     assert Field.of([Fraction(1, 2), Q2(0, 1), 3]) is EXACT
     assert Field.of([Fraction(1, 2), 0.5], tol=1e-9) == approx
     assert Field.of([Fraction(1, 2)], mode="float", tol=1e-9) == approx
-    assert (exact.zero, exact.one) == (0, 1) and isinstance(exact.zero, Fraction)
-    assert isinstance(approx.zero, float) and isinstance(approx.convert(Q2(1, 1)), float)
+    assert exact.dot(exact.vector([1, Fraction(1, 2)]), exact.vector([Q2(0, 1), 4])) == Q2(2, 1)
+    assert approx.dot(approx.vector([1, Fraction(1, 2)]), approx.vector([2, 4])) == 4.0
+    assert isinstance(approx.convert(Q2(1, 1)), float)
     assert isinstance(exact.convert(3), Fraction) and exact.convert(Q2(1, 1)) == Q2(1, 1)
     assert not exact.is_zero(Fraction(1, 10 ** 12)) and approx.is_zero(1e-10)
     assert exact.exceeds(Fraction(1, 10 ** 12), 0) and not approx.exceeds(1e-10, 0.0)

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from ewlext import Angle, DomainError, ExactnessError, Q2, canonicalize, coefficients, exact_cos
-from ewlext.exactnum import denominators_lcm, integral, normalize
+from ewlext.exactnum import EXACT, FLOAT_TOL, Field, denominators_lcm, integral, normalize
 from ewlext.payoff import _closed_form
 
 
@@ -184,9 +184,10 @@ def test_q2_matches_reference_field(x, y):
 
 
 @settings(max_examples=300, deadline=None, derandomize=True)
-@given(exact_scalars(ring=True), exact_scalars(ring=True))
+@given(exact_scalars(ring=True) | exact_scalars(), exact_scalars(ring=True) | exact_scalars())
 def test_q2_exact_division_matches_reference(x, y):
     (x, rx), (y, ry) = x, y
+    assert same(x * y, rx * ry) and same(x - y, rx - ry)  # the ring's d = 1 paths
     if ry == 0:
         with pytest.raises(ZeroDivisionError):
             x // y
@@ -199,8 +200,43 @@ def test_q2_exact_division_matches_reference(x, y):
         return
     got = x // y
     assert same(got, want) and got.d == 1
-    if x.q == 0:  # an int on the left
+    if x.q == 0 and x.d == 1:  # an int on the left
         assert same(x.p // y, want)
+
+
+def exact_vector_pair():
+    """Two equal-length vectors of ints, Fractions and Q2s, each zipped with
+    their ReferenceQ2 values."""
+    fraction = st.builds(Fraction, st.integers(-12, 12), st.integers(1, 6))
+    q2 = exact_scalars().map(lambda pair: pair[0])
+    scalar = st.integers(-12, 12) | fraction | q2
+    return st.integers(0, 6).flatmap(
+        lambda n: st.tuples(*(st.lists(scalar, min_size=n, max_size=n) for _ in range(2))))
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(exact_vector_pair())
+def test_exact_dot_matches_reference_sums(vectors):
+    xs, ys = vectors
+    ref = [[ReferenceQ2(Q2.coerce(v).a, Q2.coerce(v).b) for v in vs] for vs in vectors]
+    want = sum((x * y for x, y in zip(*ref)), ReferenceQ2(0))
+    got = EXACT.dot(EXACT.vector(xs), EXACT.vector(ys))
+    assert same(got, want)
+    # normalize's types: a Fraction when rational, a Q2 in lowest terms otherwise
+    if want.b == 0:
+        assert type(got) is Fraction
+    else:
+        assert type(got) is Q2 and got.d > 0 and math.gcd(got.p, got.q, got.d) == 1
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(st.integers(0, 8).flatmap(lambda n: st.tuples(
+    *(st.lists(st.floats(-1e6, 1e6), min_size=n, max_size=n) for _ in range(2)))))
+def test_float_dot_is_the_sum_of_products_bit_for_bit(vectors):
+    xs, ys = vectors
+    field = Field(FLOAT_TOL)
+    want = sum((x * y for x, y in zip(xs, ys)), 0.0)
+    assert field.dot(field.vector(map(Fraction, xs)), field.vector(ys)).hex() == want.hex()
 
 
 @settings(max_examples=300, deadline=None, derandomize=True)

@@ -4,21 +4,31 @@ import pytest
 
 from ewlext import (
     Bimatrix2,
+    ClassId,
+    ClassParams,
     DimensionMismatchError,
     ExtendedGame,
     IDENTITY,
     IX,
     IsoVariant,
     PRISONERS_DILEMMA,
+    PayoffPair,
     ToleranceError,
     build_extended_game,
     canonicalize,
     criterion_holds,
     iso_variant,
     block_combination_invariant,
+    coefficients,
+    extension_matrix,
+    strategy_set,
     strongly_isomorphic,
     verify_invariance_end_to_end,
 )
+from ewlext import payoff
+from ewlext.exactnum import Field, normalize
+from ewlext.extensions import _blocks
+from ewlext.invariance import InvarianceReport, VariantWitness
 from conftest import random_rational_game
 
 PD = PRISONERS_DILEMMA
@@ -278,3 +288,116 @@ def test_converse_direction_fuzz(rng):
             candidates.append([p.to_json() for p in strategies])
     if candidates:
         print(f"converse counterexample candidates: {candidates}")
+
+
+# -- the payoff sums against a per-cell reference ------------------------------------
+
+SQRT2_GAME = Bimatrix2.from_rows([[("1+1*sqrt(2)", 2), ("1/3", "-1/2*sqrt(2)")],
+                                  [(5, "2-3/4*sqrt(2)"), ("7/2", 0)]])
+REFERENCE_GAMES = [
+    PD,
+    Bimatrix2.from_rows([[(300, 300), (0, 500)], [(500, 0), (100, 100)]]),
+    SQRT2_GAME,
+]
+
+
+def reference_sum(coeffs, entries):
+    """One field for the pair of vectors, Python's sum over the converted
+    products, then normalize: the plain route the payoff sums must match."""
+    field = Field.of([*coeffs, *entries])
+    return normalize(sum((field.convert(k) * field.convert(v)
+                          for k, v in zip(coeffs, entries)), field.convert(0)))
+
+
+def reference_extension(game, strategies, mode):
+    cells = [p for row in game.delta for p in row]
+    grid = []
+    for p in strategies:
+        row = []
+        for q in strategies:
+            c = coefficients(p, q, mode=mode)
+            row.append(PayoffPair(reference_sum(c, [x.u1 for x in cells]),
+                                  reference_sum(c, [x.u2 for x in cells])))
+        grid.append(tuple(row))
+    return tuple(grid)
+
+
+def reference_block_matrix(game, blocks):
+    variants = [iso_variant(game, v) for v in IsoVariant]
+    grid = [[None] * 4 for _ in range(4)]
+    for b, coeffs in enumerate(blocks):
+        for i in range(2):
+            for j in range(2):
+                grid[2 * (b // 2) + i][2 * (b % 2) + j] = PayoffPair(
+                    *(reference_sum(coeffs, [g.delta[i][j][u] for g in variants])
+                      for u in (0, 1)))
+    return tuple(map(tuple, grid))
+
+
+def floated(game):
+    return Bimatrix2(tuple(tuple(PayoffPair(float(p.u1), float(p.u2)) for p in row)
+                           for row in game.delta))
+
+
+def identical(got, want):
+    """Equal grids, cell by cell, with equal types and floats equal bit for bit."""
+    def form(v):
+        return v.hex() if isinstance(v, float) else (type(v), v)
+    return [[[form(v) for v in p] for p in row] for row in got] == \
+        [[[form(v) for v in p] for p in row] for row in want]
+
+
+@pytest.mark.parametrize("cid,theta1", [(cid, None) for cid in ClassId] + [
+    (cid, "1/4 pi") for cid in ("C", "D1", "D2", "E1", "E2")])  # sqrt(2) coefficients
+def test_payoff_sums_match_the_per_cell_reference(cid, theta1):
+    params = ClassParams.create(cid, **({"theta1": theta1} if theta1 else {}))
+    strategies = strategy_set(params)
+    for game in REFERENCE_GAMES:
+        for g in (game, floated(game)):
+            want = reference_block_matrix(g, _blocks(params))
+            assert identical(extension_matrix(params, g).payoffs, want)
+            for mode in ("auto", "float"):
+                want = reference_extension(g, strategies, mode)
+                assert identical(build_extended_game(g, strategies, mode=mode).payoffs, want)
+                base = ExtendedGame(("I", "iX", "U1", "U2"), want)
+                witnesses = []
+                for v in (IsoVariant.GAMMA1, IsoVariant.GAMMA2, IsoVariant.GAMMA3):
+                    other = ExtendedGame(base.labels,
+                                         reference_extension(iso_variant(g, v), strategies, mode))
+                    found = strongly_isomorphic(base, other, tol=1e-9 if mode == "float" else 0.0)
+                    witnesses.append(VariantWitness(v.name, found is not None,
+                                                    *(found or (None, None))))
+                tol = 1e-9 if mode == "float" else 0.0
+                assert verify_invariance_end_to_end(g, strategies, mode=mode, tol=tol) == \
+                    InvarianceReport(all(w.isomorphic for w in witnesses), tuple(witnesses))
+
+
+def test_payoff_sums_choose_the_field_per_cell():
+    # cos(pi/6) is not in Q(sqrt(2)): pairs with the third strategy fall back
+    # to float coefficients, the others stay exact, in one extension
+    strategies = [IDENTITY, IX, canonicalize("1/6 pi", "1/4 pi", 0)]
+    for game in REFERENCE_GAMES:
+        got = build_extended_game(game, strategies).payoffs
+        assert identical(got, reference_extension(game, strategies, "auto"))
+        assert isinstance(got[0][1].u1, Fraction) and isinstance(got[0][2].u1, float)
+
+
+def test_an_exact_entry_beyond_float_range_stays_exact():
+    game = Bimatrix2.from_rows([[("1e400", 2), (3, 4)], [(5, 6), (7, 8)]])
+    assert build_extended_game(game, B_SET).payoffs[0][0].u1 == 10 ** 400
+
+
+def test_end_to_end_check_computes_one_coefficient_grid(monkeypatch):
+    calls = []
+
+    def counted(p, q, mode="auto"):
+        calls.append((p, q))
+        return coefficients(p, q, mode=mode)
+
+    monkeypatch.setattr(payoff, "coefficients", counted)
+    strategies = strategy_set(ClassParams.create("C"))
+    assert verify_invariance_end_to_end(PD, strategies).all_isomorphic
+    assert len(calls) == 16  # one 4 x 4 grid shared by the game and its three variants
+    calls.clear()
+    build_extended_game(PD, strategies)
+    assert len(calls) == 16

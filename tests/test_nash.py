@@ -161,6 +161,16 @@ def test_best_response_values(c_ext):
     assert uniform == [2, 2]
 
 
+def test_best_response_values_are_fractions_when_rational():
+    r = Q2(0, 1)
+    g = ExtendedGame(("s1", "s2"), (((1 + r, r), (1 - r, 1)), ((r, 1 - r), (2 - r, 2))))
+    half = (F(1, 2), F(1, 2))
+    for side, want in (("row", [1, 1]), ("col", [F(1, 2), F(3, 2)])):
+        vals = best_response_values(g, half, side=side)
+        assert vals == want and [type(v) for v in vals] == [Fraction, Fraction]
+    assert best_response_values(g, (1, 0), side="row") == [1 + r, r]
+
+
 def test_all_reported_equilibria_pass_deviation_check(rng, c_ext):
     for rep, game in [(mixed_equilibria(c_ext), c_ext)]:
         for eq in rep.equilibria:

@@ -234,6 +234,15 @@ def test_parse_scalar_rejects_zero_denominator(value):
         parse_scalar(value)
 
 
+def test_parse_scalar_reads_exponents_inside_sqrt2_text():
+    # the split between the two parts is a sign that no exponent marker precedes
+    assert parse_scalar("3+1e-3*sqrt(2)") == Q2(3, Fraction(1, 1000))
+    assert parse_scalar("1e-2-2E+1*sqrt(2)") == Q2(Fraction(1, 100), -20)
+    assert parse_scalar("-1e-3*sqrt(2)") == Q2(0, Fraction(-1, 1000))
+    with pytest.raises(DomainError, match="exceeds 4000 digits"):
+        parse_scalar("3+1e-4001*sqrt(2)")
+
+
 @pytest.mark.parametrize("value", ["1+2*sqrt(2)x", "1+*sqrt(2)"])
 def test_parse_scalar_rejects_text_around_sqrt2(value):
     with pytest.raises(ExactnessError, match="cannot parse"):

@@ -135,7 +135,7 @@ def gauss_jordan_reference(a_rows, rhs, field):
         r += 1
     if any(not field.is_zero(rows[i][n]) for i in range(r, m)):
         return "none", None
-    x = [field.zero] * n
+    x = [field.convert(0)] * n
     for k, c in enumerate(pivots):
         x[c] = rows[k][n]
     return ("unique" if len(pivots) == n else "many"), x
