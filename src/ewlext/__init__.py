@@ -1,8 +1,9 @@
 """Quantum extensions of 2x2 games with finite unitary strategy sets:
 construction, isomorphism-invariance verification, exact extension
 bimatrices for the permissible families, and Nash equilibrium solving.
-numpy is imported only inside the functions that build arrays (the lattice
-search, matrices), so `import ewlext` does not load it.
+numpy is imported only inside the two functions that build arrays,
+su2.build_unitary and payoff.final_state, so `import ewlext` and the lattice
+search do not load it.
 """
 
 from .equivalence import (

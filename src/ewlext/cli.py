@@ -30,7 +30,7 @@ from .payoff import (
     payoff_closed_form,
     payoff_oracle,
 )
-from .solver import LatticeSpec, search_solutions
+from .solver import LatticeSpec, check_relations, search_solutions
 from .su2 import StrategyParams
 
 ORACLE_TOL = 1e-10
@@ -187,6 +187,10 @@ def cmd_enumerate(args) -> int:
     counts = result.counts()
     summary = ", ".join(f"{k}={v}" for k, v in counts.items()) or "no solutions"
     print(f"tested {result.tested} tuples: {summary}", file=sys.stderr)
+    related = sum(all(r.satisfied for r in check_relations(
+        s.theta1, s.alpha1, s.beta1, s.alpha2, s.beta2)) for s in result.solutions)
+    print(f"criterion only: {len(result.solutions)}, "
+          f"criterion + named relations: {related}", file=sys.stderr)
     return 0
 
 

@@ -8,10 +8,10 @@ One table kernel decides every slice, exact or float, on the pi/4 and the
 pi/8 lattice: the coefficient vectors depend only on the two thetas and on
 sums and differences of phases, so one coefficient call per theta pair and
 phase pair (at most 1024 per pi/4 slice, 4096 per pi/8 slice) fills tables
-of interned ids, and the criterion becomes integer comparisons over the
-tuples.  Only the interning differs by mode: exact values by equality,
-floats by clusters at FLOAT_TOL.  invariance.criterion_holds is the kernel's
-reference.
+of interned ids, and the criterion becomes integer comparisons, made only
+for the tuples whose rows against I and iX can match (_slice_hits).  Only
+the interning differs by mode: exact values by equality, floats by clusters
+at FLOAT_TOL.  invariance.criterion_holds is the kernel's reference.
 The criterion itself is the ground truth.  The named trigonometric relations
 in check_relations are not implied by it: they single out the named families
 A-E, and every criterion hit outside those families violates at least one.
@@ -37,10 +37,11 @@ from __future__ import annotations
 
 import io
 import math
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from itertools import permutations
+from itertools import product
 from typing import Dict, Iterator, List, Tuple
 
 from .errors import DomainError, ExactnessError
@@ -147,13 +148,12 @@ class SearchResult:
         return buf.getvalue()
 
 
-def lattice_phi(theta: Fraction, a, b, n: int):
+def lattice_phi(theta: Fraction, a: int, b: int, n: int):
     """su2.phi on a lattice of n phase points per 2 pi:
     (theta, a, b) -> (1 - theta, -b, n/2 - a) mod n.
 
     theta is in units of pi; a and b are phase indices in units of 2 pi / n
-    (n = 8 on the pi/4 lattice, 16 on pi/8).  Works elementwise on numpy
-    index arrays as well.
+    (n = 8 on the pi/4 lattice, 16 on pi/8).
     """
     return 1 - theta, -b % n, (n // 2 - a) % n
 
@@ -170,91 +170,87 @@ def _coefficient_tables(thetas: List[Fraction], n: int, mode: str):
     values, so equal ids mean equal pairs; 'float' clusters doubles with
     Field.intern, so equal ids mean pairs within FLOAT_TOL componentwise.
     """
-    import numpy as np
     field = EXACT if mode == "exact" else Field(FLOAT_TOL)
-    step = Fraction(2, n)
+    phases = [Fraction(2 * k, n) for k in range(n)]
     opponents = [canonicalize(t, 0, 0) for t in thetas]
-    values = np.empty((len(thetas), len(thetas), n, n, 4),
-                      dtype=object if field.exact else np.float64)
-    for p, tp in enumerate(thetas):
-        for m in range(n):
-            for k in range(n):
-                player = canonicalize(tp, m * step, k * step)
-                for o, opponent in enumerate(opponents):
-                    values[p, o, m, k] = coefficients(player, opponent, mode=mode)
-    ids = np.asarray(field.intern(values.ravel().tolist()),
-                     dtype=np.int64).reshape(values.shape)
-    size = ids.max() + 1
-
-    def pair_ids(i, j):  # one compact id per pair of component ids
-        keys = ids[..., i] * size + ids[..., j]
-        return np.unique(keys, return_inverse=True)[1].reshape(keys.shape)
-
-    xy = pair_ids(0, 3)
-    uv = np.empty_like(xy)
-    uv[:, :, :, -np.arange(n) % n] = pair_ids(1, 2)
+    players = {(p, m, k): canonicalize(t, phases[m], phases[k])
+               for p, t in enumerate(thetas) for m in range(n) for k in range(n)}
+    cells = list(product(range(len(thetas)), range(len(thetas)), range(n), range(n)))
+    ids = field.intern([c for p, o, m, k in cells
+                        for c in coefficients(players[p, m, k], opponents[o], mode=mode)])
+    xy, uv, pairs = {}, {}, {}  # pairs: one compact id per pair of component ids
+    for (p, o, m, k), (c00, c01, c10, c11) in zip(cells, zip(*[iter(ids)] * 4)):
+        xy[p, o, m, k] = pairs.setdefault((c00, c11), len(pairs))
+        uv[p, o, m, -k % n] = pairs.setdefault((c01, c10), len(pairs))
     return xy, uv
 
 
-def _entry_table(xy, uv, states, n: int):
-    """E[i, j]: the id of the coefficient vector of lattice strategy
-    states[i] against states[j], where a state is (theta position * n +
-    alpha index) * n + beta index.  Equal entries mean equal xy and uv ids.
-    """
-    import numpy as np
-    t, a, b = states // (n * n), states // n % n, states % n
-    scale = int(uv.max()) + 1
-    size = (int(xy.max()) + 1) * scale
-    table = np.empty((len(states), len(states)), dtype=np.min_scalar_type(size))
-    for lo in range(0, len(states), n):  # player blocks keep temporaries small
-        p = slice(lo, lo + n)
-        tp, ap, bp = t[p, None], a[p, None], b[p, None]
-        table[p] = (xy[tp, t, (ap + a) % n, (bp + b) % n] * scale
-                    + uv[tp, t, (ap - b) % n, (a - bp) % n])
-    return table
+def _entry_id(xy, uv, n: int):
+    """E(s, t): the id of the coefficient vector of lattice strategy s
+    against t, where a strategy is (theta position, alpha index, beta index).
+    Equal entries mean equal xy and uv ids."""
+    scale = max(uv.values()) + 1
+
+    def entry(s, t):
+        (p, ap, bp), (o, ao, bo) = s, t
+        return (xy[p, o, (ap + ao) % n, (bp + bo) % n] * scale
+                + uv[p, o, (ap - bo) % n, (ao - bp) % n])
+    return entry
 
 
 def _slice_hits(th1: Fraction, n: int, mode: str) -> Iterator[Tuple[int, int, int, int]]:
     """Phase indices (a1, b1, a2, b2) of every tuple of the n-point lattice
     at theta1 = th1 * pi whose set S = {I, iX, U1, U2} passes criterion_holds.
 
-    Every strategy of some S or phi(S) gets a row of the entry table, and
-    the tuples are checked n * n at a time, one chunk per (a1, b1).  A
-    strategy's row is its entries against S; the criterion holds iff some
-    permutation sigma of S gives phi(s_i) the row of s_sigma(i) for every
-    i, which is one of 24 patterns of the 4 x 4 match matrix.  Entry
-    equality is transitive, and it is exact equality in mode 'exact' and
+    A strategy's row is its entries against S.  The criterion holds iff the
+    rows of phi(S) equal the rows of S as multisets (some permutation of S
+    matches them).  Entry equality is transitive, exact in mode 'exact' and
     closeness at FLOAT_TOL in mode 'float', so this is criterion_holds'
-    rule: each class K of S receives |K| images.
+    rule: each class K of S receives |K| images.  The heads A (entries
+    against I and iX) then agree too: X + {A(U2)} = Y + {A(phi U2)}, X and
+    Y the heads of I, iX, U1 and of their images.  So each U2 is indexed by
+    (A(U2), A(phi U2)), or by () where they are equal, each U1 looks up
+    (Y - X, X - Y), and only those candidates' full rows are compared.
     """
-    import numpy as np
-    perms = np.array(list(permutations(range(4))))
     thetas = list(dict.fromkeys((Fraction(0), Fraction(1), th1, 1 - th1)))
     pos = {t: i for i, t in enumerate(thetas)}
-    grid_a, grid_b = np.indices((n, n)).reshape(2, -1)
-    zero = np.zeros(1, dtype=grid_a.dtype)
-    s = [(Fraction(0), zero, zero), (Fraction(1), zero, zero),
-         (th1, grid_a, grid_b), (1 - th1, grid_a, grid_b)]
-    # states of I, iX, U1, U2, phi(I), phi(iX), phi(U1), phi(U2); the U1 and
-    # U2 columns run over their whole grids
-    keys = [(pos[t] * n + a) * n + b
-            for t, a, b in s + [lattice_phi(*strategy, n) for strategy in s]]
-    used = np.zeros(len(thetas) * n * n, dtype=bool)
-    for key in keys:
-        used[key] = True
-    states = np.flatnonzero(used)
-    position = np.cumsum(used) - 1  # of each used key in states
-    columns = [position[key] for key in keys]
-    table = _entry_table(*_coefficient_tables(thetas, n, mode), states, n)
-    # tuple u2 of a chunk has U2 at grid point u2; U1 columns are set per chunk
-    members = np.stack([np.broadcast_to(c, n * n) for c in columns], axis=1)
-    for u1 in range(n * n):
-        members[:, 2], members[:, 6] = columns[2][u1], columns[6][u1]
-        rows = table[members[:, :, None], members[:, None, :4]]
-        match = (rows[:, 4:, None] == rows[:, None, :4]).all(axis=3)
-        holds = match[:, np.arange(4), perms].all(axis=2).any(axis=1)
-        for u2 in np.flatnonzero(holds):
-            yield (*divmod(u1, n), *divmod(int(u2), n))
+    entry = _entry_id(*_coefficient_tables(thetas, n, mode), n)
+
+    def state(theta, a, b):
+        return pos[theta], a, b
+
+    # I, iX, phi(I), phi(iX): the first two are in S, the last two in phi(S)
+    eye, ix = (Fraction(0), 0, 0), (Fraction(1), 0, 0)
+    fixed = [state(*s) for s in (eye, ix, lattice_phi(*eye, n), lattice_phi(*ix, n))]
+
+    def head(s):  # the entries against I and iX
+        return entry(s, fixed[0]), entry(s, fixed[1])
+
+    def grid(theta):
+        """Per grid point: U, phi(U), their heads, E(U, U), E(phi U, U) and
+        the column of the fixed strategies against U."""
+        for a, b in product(range(n), repeat=2):
+            u, pu = state(theta, a, b), state(*lattice_phi(theta, a, b, n))
+            yield u, pu, head(u), head(pu), entry(u, u), entry(pu, u), [
+                entry(f, u) for f in fixed]
+
+    heads = [head(f) for f in fixed]
+    grid2 = list(grid(1 - th1))
+    by_heads: Dict[tuple, List[int]] = {}
+    for j, (_, _, h, phi_h, *_) in enumerate(grid2):
+        by_heads.setdefault(() if h == phi_h else (h, phi_h), []).append(j)
+    for i, (u, pu, head1, phi_head1, uu, puu, col1) in enumerate(grid(th1)):
+        x, y = Counter(heads[:2] + [head1]), Counter(heads[2:] + [phi_head1])
+        # rows lacking their entry against U2: I, iX, phi(I), phi(iX), then U1, phi(U1)
+        r0, r1, r2, r3 = [(*h, c) for h, c in zip(heads, col1)]
+        r4, r5 = (*head1, uu), (*phi_head1, puu)
+        for j in by_heads.get((*(y - x).elements(), *(x - y).elements()), ()):
+            v, pv, head2, phi_head2, vv, pvv, col2 = grid2[j]
+            if sorted([r0 + (col2[0],), r1 + (col2[1],), r4 + (entry(u, v),),
+                       (*head2, entry(v, u), vv)]) \
+                    == sorted([r2 + (col2[2],), r3 + (col2[3],), r5 + (entry(pu, v),),
+                               (*phi_head2, entry(pv, u), pvv)]):
+                yield (*divmod(i, n), *divmod(j, n))
 
 
 def search_solutions(spec: LatticeSpec, mode: str = "exact") -> SearchResult:
@@ -263,7 +259,7 @@ def search_solutions(spec: LatticeSpec, mode: str = "exact") -> SearchResult:
     Every mode runs the table kernel _slice_hits: per slice one coefficient
     vector per theta pair and phase sum or difference (at most 1024 on the
     pi/4 lattice, 4096 on pi/8), interned to integer ids, and the criterion
-    decided on integer comparisons, (a1, b1) chunk by chunk.
+    decided on integer comparisons for the tuples its head filter admits.
     criterion_holds is its reference.  Mode 'exact' interns exact
     Q(sqrt(2)) vectors and needs the pi/4 step (pi/8 trigonometry leaves
     Q(sqrt(2))); mode 'float' interns doubles at tolerance FLOAT_TOL = 1e-10
@@ -291,9 +287,8 @@ def search_solutions(spec: LatticeSpec, mode: str = "exact") -> SearchResult:
         if th1.frac > 1:
             raise ExactnessError(f"theta1 = {th1} is outside [0, pi]")
         for idx in _slice_hits(th1.frac, len(points), mode):
-            a1, b1, a2, b2 = (points[i] for i in idx)
-            hits.append(Solution(th1, a1, b1, a2, b2,
-                                 classify_tuple(th1, a1, b1, a2, b2)))
+            phases = [points[i] for i in idx]
+            hits.append(Solution(th1, *phases, classify_tuple(th1, *phases)))
         tested += len(points) ** 4
     hits.sort(key=lambda s: (float(s.theta1.value), s.alpha1, s.beta1,
                              s.alpha2, s.beta2))

@@ -257,8 +257,20 @@ def test_enumerate_summary(capsys):
     assert "A1=1024" in err
 
 
-# Imports ewlext and runs the one-game commands in a fresh interpreter; after
-# each step it reports the exit code and whether numpy and ewlext.solver are
+def test_enumerate_counts_hits_with_and_without_the_named_relations(capsys):
+    # the 96 mixed- and split-grid hits at pi/2 pass the criterion but
+    # violate a named relation; stdout keeps the CSV alone
+    code, out, err = run(capsys, "enumerate", "--theta", "1/2 pi")
+    assert code == 0
+    assert len(out.strip().splitlines()) == 1 + 288
+    assert err.splitlines() == [
+        "tested 4096 tuples: B=64, C=64, D1=16, D2=16, E1=16, E2=16, UNCLASSIFIED=96",
+        "criterion only: 288, criterion + named relations: 192"]
+
+
+# Imports ewlext and runs the one-game commands and two lattice searches (an
+# exact pi/4 slice, a float pi/8 slice) in a fresh interpreter; after each
+# step it reports the exit code and whether numpy and ewlext.solver are
 # loaded.
 _START_UP = """
 import contextlib, io, json, sys
@@ -270,10 +282,12 @@ runs = [["extend", *cls, "--oracle-check"], ["verify", *cls],
         ["equilibria", "--extend-first", *cls],
         ["payoff", "--game", game, "--p1", "1/2 pi,1/2 pi,1/2 pi", "--p2", "0,0,0",
          "--oracle-check"],
-        ["limits", "--game", game]]
+        ["limits", "--game", game],
+        ["enumerate", "--theta", "1/3 pi"],
+        ["enumerate", "--theta", "1/3 pi", "--step", "1/8", "--mode", "float"]]
 report = [["import", 0, "numpy" in sys.modules, "ewlext.solver" in sys.modules]]
 for argv in runs:
-    with contextlib.redirect_stdout(io.StringIO()):
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
         code = ewlext.cli.main(argv)
     report.append([argv[0], code, "numpy" in sys.modules, "ewlext.solver" in sys.modules])
 print(json.dumps(report))
@@ -290,12 +304,12 @@ def test_one_game_commands_do_not_load_numpy(pd_file):
     assert json.loads(proc.stdout) == [
         [command, 0, False, True]
         for command in ("import", "extend", "verify", "verify", "equilibria", "payoff",
-                        "limits")]
+                        "limits", "enumerate", "enumerate")]
 
 
 def test_enumerate_half_pi_prints_the_reference_hits(capsys):
-    # the lattice kernel imports numpy on first use: each family's hits are
-    # its enumerated set, and the other 96 the mixed- and split-grid groups
+    # each family's hits are its enumerated set, and the other 96 the mixed-
+    # and split-grid groups
     code, out, _ = run(capsys, "enumerate", "--theta", "1/2 pi")
     assert code == 0
     lines = out.strip().splitlines()

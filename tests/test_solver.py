@@ -10,14 +10,16 @@ the named families and are reported as UNCLASSIFIED.  Every hit is
 independently validated end to end in test_unclassified_hits_are_genuine,
 and the table kernel is checked against criterion_holds tuple by tuple in
 test_table_kernel_agrees_with_criterion_holds (exact, pi/4) and
-test_float_kernel_agrees_with_criterion_holds (float, pi/8).
+test_float_kernel_agrees_with_criterion_holds (float, pi/8).  Its head
+filter is checked against the same rule on every tuple of nine slices in
+test_head_filter_loses_no_tuple.
 """
 
 import random
 from fractions import Fraction
 from itertools import combinations, product
+from operator import itemgetter
 
-import numpy as np
 import pytest
 
 from ewlext import (
@@ -42,7 +44,8 @@ from ewlext.equivalence import FLOAT_TOL, Field
 from ewlext.solver import (
     UNCLASSIFIED,
     _coefficient_tables,
-    _entry_table,
+    _entry_id,
+    _slice_hits,
     classify_tuple,
     lattice_phi,
 )
@@ -212,24 +215,63 @@ def test_coefficient_tables_intern_exact_vectors():
     assert len({ids for ids, _ in seen}) == len({v for _, v in seen}) == len(seen)
 
 
-def test_entry_table_interns_exact_vectors():
+def test_entry_id_interns_exact_vectors():
     # on random pairs of lattice strategies, the entry ids partition the
     # pairs exactly as their exact coefficient vectors do
     rng = random.Random(8)
     thetas = [Fraction(0), Fraction(1), Fraction(1, 4), Fraction(3, 4)]
-    states = np.arange(len(thetas) * 64)  # (theta position * 8 + a) * 8 + b
-    table = _entry_table(*_coefficient_tables(thetas, 8, "exact"), states, 8)
+    entry = _entry_id(*_coefficient_tables(thetas, 8, "exact"), 8)
 
-    def strategy(state):
-        return canonicalize(thetas[state // 64], Fraction(state // 8 % 8, 4),
-                            Fraction(state % 8, 4))
+    def state(i):  # (theta position, alpha index, beta index)
+        return i // 64, i // 8 % 8, i % 8
+
+    def strategy(s):
+        return canonicalize(thetas[s[0]], Fraction(s[1], 4), Fraction(s[2], 4))
 
     seen = set()
     for _ in range(400):
-        i, j = rng.randrange(len(states)), rng.randrange(len(states))
-        vector = coefficients(strategy(i), strategy(j), mode="exact")
-        seen.add((int(table[i, j]), vector))
+        s, t = state(rng.randrange(256)), state(rng.randrange(256))
+        vector = coefficients(strategy(s), strategy(t), mode="exact")
+        seen.add((entry(s, t), vector))
     assert len({e for e, _ in seen}) == len({v for _, v in seen}) == len(seen)
+
+
+def _all_tuples_hits(th1, n, mode):
+    """The row-multiset rule on every tuple of the slice, over the kernel's
+    tables and with no head filter: S = {I, iX, U1, U2} passes when the rows
+    of phi(S) against S equal the rows of S against S as multisets."""
+    thetas = list(dict.fromkeys((Fraction(0), Fraction(1), th1, 1 - th1)))
+    pos = {t: i for i, t in enumerate(thetas)}
+    entry = _entry_id(*_coefficient_tables(thetas, n, mode), n)
+    grids = [[(pos[t], a, b) for a in range(n) for b in range(n)] for t in (th1, 1 - th1)]
+    images = [[(pos[t], a, b) for t, a, b in (lattice_phi(thetas[p], a, b, n) for p, a, b in g)]
+              for g in grids]
+    eye, ix = (pos[Fraction(0)], 0, 0), (pos[Fraction(1)], 0, 0)
+    fixed = [eye, ix] + [(pos[t], a, b) for t, a, b in
+                         (lattice_phi(Fraction(k), 0, 0, n) for k in (0, 1))]
+    columns = [eye, ix] + grids[0] + grids[1]
+    col = {s: k for k, s in enumerate(columns)}
+    table = {r: [entry(r, c) for c in columns]
+             for r in fixed + grids[0] + grids[1] + images[0] + images[1]}
+    hits = []
+    for i, (u, pu) in enumerate(zip(grids[0], images[0])):
+        for j, (v, pv) in enumerate(zip(grids[1], images[1])):
+            row = itemgetter(0, 1, col[u], col[v])  # a strategy's entries against S
+            if sorted(map(row, [table[r] for r in (eye, ix, u, v)])) == \
+                    sorted(map(row, [table[r] for r in (*fixed[2:], pu, pv)])):
+                hits.append((*divmod(i, n), *divmod(j, n)))
+    return hits
+
+
+@pytest.mark.parametrize("th1, n, mode", [
+    *((t, 8, "exact") for t in ("0", "1/4", "1/3", "1/2", "2/3", "3/4", "1")),
+    *((t, 16, "float") for t in ("1/3", "1/2")),
+])
+def test_head_filter_loses_no_tuple(th1, n, mode):
+    # the kernel checks only the tuples whose row heads agree; every tuple
+    # checked without that filter gives the same hits, in the same order
+    th1 = Fraction(th1)
+    assert list(_slice_hits(th1, n, mode)) == _all_tuples_hits(th1, n, mode)
 
 
 def test_exact_search_rejects_theta_outside_q_sqrt2():
