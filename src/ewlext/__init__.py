@@ -1,9 +1,11 @@
 """Quantum extensions of 2x2 games with finite unitary strategy sets:
 construction, isomorphism-invariance verification, exact extension
 bimatrices for the permissible families, and Nash equilibrium solving.
-numpy is imported only inside the two functions that build arrays,
-su2.build_unitary and payoff.final_state, so `import ewlext` and the lattice
-search do not load it.
+
+Every moded function computes in one of two modes: 'exact' (the default)
+returns Fraction and Q2 values in Q(sqrt(2)) and raises ExactnessError
+where a value would leave it; 'float' computes in doubles.  Any other mode
+raises ValueError.  The package uses the standard library only.
 """
 
 from .equivalence import (
@@ -58,7 +60,7 @@ from .payoff import (
     payoff_oracle,
 )
 from .solver import LatticeSpec, SearchResult, check_relations, search_solutions
-from .su2 import IDENTITY, IX, StrategyParams, build_unitary, canonicalize, phi
+from .su2 import IDENTITY, IX, StrategyParams, canonicalize, phi
 
 __version__ = "0.1.0"
 
@@ -92,7 +94,6 @@ __all__ = [
     "are_equivalent",
     "best_response_values",
     "build_extended_game",
-    "build_unitary",
     "canonicalize",
     "check_relations",
     "coefficients",

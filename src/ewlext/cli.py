@@ -10,11 +10,10 @@ import argparse
 import json
 import math
 import sys
-from fractions import Fraction
 from typing import List, Optional
 
 from .errors import EwlError, ExactnessError
-from .exactnum import Field
+from .exactnum import MODES, Field
 from .extensions import ClassId, ClassParams, extension_matrix, limit_check, strategy_set
 from .invariance import (
     ExtendedGame,
@@ -94,11 +93,14 @@ def _resolve_strategies(args) -> List[StrategyParams]:
 
 
 def _emit(args, text: str) -> None:
+    """Write text to --output or stdout, ending in exactly one newline."""
+    if not text.endswith("\n"):
+        text += "\n"
     if args.output:
         with open(args.output, "w", encoding="utf-8") as fh:
-            fh.write(text if text.endswith("\n") else text + "\n")
+            fh.write(text)
     else:
-        print(text)
+        sys.stdout.write(text)
 
 
 def _oracle_disagrees(game: Bimatrix2, p, q, got: PayoffPair) -> Optional[PayoffPair]:
@@ -130,12 +132,12 @@ def _build_extension(args, game: Bimatrix2) -> ExtendedGame:
         ext = build_extended_game(game, strategies, mode=args.mode)
     else:
         ext = extension_matrix(_class_params(args), game)
-        field = Field.of((v for row in ext.payoffs for cell in row for v in cell),
-                         args.mode)
-        if args.mode == "exact" and not field.exact:
-            raise ExactnessError(
-                "the extension leaves Q(sqrt(2)) at these parameters; pass --mode float"
-            )
+        try:
+            field = Field.of((v for row in ext.payoffs for cell in row for v in cell),
+                             args.mode)
+        except ExactnessError:
+            raise ExactnessError("the extension leaves Q(sqrt(2)) at these parameters; "
+                                 "pass --mode float") from None
         ext = ExtendedGame(ext.labels, tuple(
             tuple(PayoffPair(*map(field.convert, cell)) for cell in row)
             for row in ext.payoffs
@@ -177,12 +179,7 @@ def cmd_verify(args) -> int:
 
 
 def cmd_enumerate(args) -> int:
-    spec = LatticeSpec.create(args.theta, args.step)
-    mode = args.mode
-    if mode == "exact" and spec.phase_step == Fraction(1, 8):
-        mode = "float"
-        print("note: pi/8 stress lattice runs in float mode", file=sys.stderr)
-    result = search_solutions(spec, mode=mode)
+    result = search_solutions(LatticeSpec.create(args.theta, args.step), mode=args.mode)
     _emit(args, result.to_csv())
     counts = result.counts()
     summary = ", ".join(f"{k}={v}" for k, v in counts.items()) or "no solutions"
@@ -305,7 +302,7 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--game", required=True,
                        help="path to a game JSON file, or inline JSON")
         if mode:
-            p.add_argument("--mode", choices=("exact", "float"), default="exact")
+            p.add_argument("--mode", choices=MODES, default="exact")
         if formats:
             p.add_argument("--format", choices=("json", "csv", "pretty"), default="json")
         p.add_argument("--output", help="write to file instead of stdout")
@@ -335,7 +332,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="theta1 value such as '1/2 pi' (repeatable)")
     p.add_argument("--step", default="1/4", choices=("1/4", "1/8"),
                    help="phase lattice step in units of pi")
-    p.add_argument("--mode", choices=("exact", "float"), default="exact")
+    p.add_argument("--mode", choices=MODES, default="exact")
     p.add_argument("--output", help="write CSV to file instead of stdout")
     p.set_defaults(func=cmd_enumerate)
 

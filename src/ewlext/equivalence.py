@@ -25,25 +25,27 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, List, Sequence, Tuple
 
-from .exactnum import EXACT, FLOAT_TOL, Field  # noqa: F401  (EXACT re-exported)
+from .exactnum import EXACT, FLOAT_TOL, Field, check_mode  # noqa: F401  (EXACT re-exported)
 from .payoff import CoefficientVector, coefficients
 from .su2 import StrategyParams
 
 
 def coefficient_row(p: StrategyParams, opponents: Sequence[StrategyParams],
-                    mode: str = "auto") -> Tuple[CoefficientVector, ...]:
+                    mode: str = "exact") -> Tuple[CoefficientVector, ...]:
     """Coefficient vectors c(p, o) of p against each opponent o."""
+    check_mode(mode)
     return tuple(coefficients(p, o, mode=mode) for o in opponents)
 
 
-def row_keys(rows, mode: str = "auto", tol: float = FLOAT_TOL) -> List[Tuple[int, ...]]:
+def row_keys(rows, mode: str = "exact", tol: float = FLOAT_TOL) -> List[Tuple[int, ...]]:
     """One tuple of ids per row of coefficient vectors: two rows are equal
     iff their keys are.
 
-    Each slot (opponent x component) is interned across the rows by the
-    Field of their entries, so a float field raises ToleranceError unless
-    the values of every slot fall into clusters at most tol/100 wide and at
-    least 100 tol apart.
+    Each slot (opponent x component) is interned across the rows by
+    Field.of(entries, mode, tol): mode 'exact' raises ExactnessError for a
+    float entry, and mode 'float' raises ToleranceError unless the values
+    of every slot fall into clusters at most tol/100 wide and at least
+    100 tol apart.
     """
     flat = [[x for v in row for x in v] for row in rows]
     field = Field.of((x for row in flat for x in row), mode, tol)
@@ -52,7 +54,7 @@ def row_keys(rows, mode: str = "auto", tol: float = FLOAT_TOL) -> List[Tuple[int
 
 def are_equivalent(p: StrategyParams, q: StrategyParams,
                    opponents: Sequence[StrategyParams],
-                   mode: str = "auto", tol: float = FLOAT_TOL) -> bool:
+                   mode: str = "exact", tol: float = FLOAT_TOL) -> bool:
     """True iff p and q yield identical coefficient vectors against every opponent.
 
     Opponents may be any finite sample; callers wanting a stricter check can
@@ -86,7 +88,7 @@ def _classes(keys) -> Tuple[Tuple[int, ...], ...]:
 
 
 def partition(strategies: Sequence[StrategyParams],
-              mode: str = "auto") -> EquivClassPartition:
+              mode: str = "exact") -> EquivClassPartition:
     """Partition a finite strategy set into payoff-equivalence classes,
     with the set itself as the opponent universe."""
     if not strategies:

@@ -427,8 +427,9 @@ ANGLE_PI = Angle.pi_frac(1)
 def angle_cos(a: Angle) -> Union[Q2, float]:
     """cos(a): exact in Q(sqrt(2)) when a is an exact angle whose cosine
     lies there, a float otherwise.  The one place where exact trigonometry
-    falls back to floats value by value; payoff.coefficients falls back by
-    whole vectors instead."""
+    falls back to floats value by value: it serves the mode-less family
+    block formulas (extensions.extension_matrix), while every moded function
+    raises ExactnessError in exact mode instead."""
     if a.is_exact:
         try:
             return exact_cos(a.value)
@@ -440,6 +441,16 @@ def angle_cos(a: Angle) -> Union[Q2, float]:
 # -- comparing scalars, exactly or within a tolerance -------------------------
 
 FLOAT_TOL = 1e-10
+MODES = ("exact", "float")
+
+
+def check_mode(mode: str) -> str:
+    """mode, if it is one of the two arithmetic modes of every moded
+    function: 'exact' (values in Q(sqrt(2)), ExactnessError where one would
+    leave it) or 'float' (doubles); ValueError for anything else."""
+    if mode not in MODES:
+        raise ValueError(f"unknown mode {mode!r}: use 'exact' or 'float'")
+    return mode
 
 
 @dataclass(frozen=True)
@@ -455,11 +466,20 @@ class Field:
     tol: Optional[float] = None
 
     @staticmethod
-    def of(values, mode: str = "auto", tol: float = FLOAT_TOL) -> "Field":
-        """Exact unless mode is 'float' or some value is a float."""
-        if mode != "float" and all(scalar_is_exact(v) for v in values):
-            return EXACT
-        return Field(tol)
+    def of(values, mode: str = "exact", tol: float = FLOAT_TOL) -> "Field":
+        """The field of a moded function: Field(tol) in mode 'float'; in
+        mode 'exact' EXACT, or ExactnessError if some value is a float."""
+        if check_mode(mode) == "float":
+            return Field(tol)
+        if not all(map(scalar_is_exact, values)):
+            raise ExactnessError("exact mode needs exact values; use float mode for floats")
+        return EXACT
+
+    @staticmethod
+    def of_values(values, tol: float = FLOAT_TOL) -> "Field":
+        """The field of the values themselves, for the mode-less helpers:
+        exact when every value is exact, else Field(tol)."""
+        return EXACT if all(map(scalar_is_exact, values)) else Field(tol)
 
     @property
     def exact(self) -> bool:

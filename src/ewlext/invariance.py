@@ -93,8 +93,9 @@ class ExtendedGame:
 
 
 def build_extended_game(game: Bimatrix2, strategies: Sequence[StrategyParams],
-                        mode: str = "auto") -> ExtendedGame:
-    """Payoff bimatrix of the quantized game over a finite strategy set."""
+                        mode: str = "exact") -> ExtendedGame:
+    """Payoff bimatrix of the quantized game over a finite strategy set, all
+    exact or all float by mode (see coefficients and payoff_grid)."""
     return _extension(game, coefficient_grid(strategies, mode=mode))
 
 
@@ -181,7 +182,7 @@ class CriterionReport:
 
 
 def criterion_holds(strategies: Sequence[StrategyParams],
-                    mode: str = "auto") -> CriterionReport:
+                    mode: str = "exact") -> CriterionReport:
     """Executable form of the quotient criterion: the family of equivalence
     classes of S must coincide with the family of classes of phi(S).
 
@@ -228,7 +229,7 @@ class InvarianceReport:
 
 def verify_invariance_end_to_end(game: Bimatrix2,
                                  strategies: Sequence[StrategyParams],
-                                 mode: str = "auto",
+                                 mode: str = "exact",
                                  tol: float = 0.0) -> InvarianceReport:
     """Build the extension of the game and of each swapped variant over the
     same strategy set, and search for strong-isomorphism witnesses.
@@ -272,8 +273,8 @@ def _block_matrix(game: Bimatrix2, blocks) -> List[List[PayoffPair]]:
     sums are exact if every coefficient and entry is, else float.
     """
     variants = [iso_variant(game, v) for v in IsoVariant]
-    field = Field.of([*(k for coeffs in blocks for k in coeffs),
-                      *(v for row in game.delta for p in row for v in p)])
+    field = Field.of_values([*(k for coeffs in blocks for k in coeffs),
+                             *(v for row in game.delta for p in row for v in p)])
     # cells[i][j][u]: player u's entry in cell (i, j) of Gamma^0..Gamma^3
     cells = [[[field.vector(g.delta[i][j][u] for g in variants) for u in (0, 1)]
               for j in range(2)] for i in range(2)]

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 from itertools import combinations
 from typing import List, Optional, Sequence, Tuple
 
-from .errors import DimensionMismatchError, ExactnessError
+from .errors import DimensionMismatchError
 from .exactnum import (EXACT, Q2, Field, _parts, denominators_lcm, from_parts, integral,
                        normalize)
 from .invariance import ExtendedGame
@@ -163,7 +163,7 @@ def best_response_values(g: ExtendedGame, opponent_mix: Sequence, side: str = "r
         raise DimensionMismatchError(
             f"opponent mix has {len(opponent_mix)} entries for a {n}x{n} game"
         )
-    field = Field.of([*opponent_mix, *(v for row in g.payoffs for p in row for v in p)])
+    field = Field.of_values([*opponent_mix, *(v for row in g.payoffs for p in row for v in p)])
     mix = field.vector(opponent_mix)
     if side == "row":
         return [field.dot(field.vector(c.u1 for c in row), mix) for row in g.payoffs]
@@ -202,14 +202,15 @@ def _indifference_solution(values, support, other_support, linear, field):
     return (probs, v, d), degenerate
 
 
-def mixed_equilibria(g: ExtendedGame, mode: str = "auto") -> EquilibriumReport:
+def mixed_equilibria(g: ExtendedGame, mode: str = "exact") -> EquilibriumReport:
     """All Nash equilibria found by support enumeration.
 
     Pure equilibria appear as singleton supports.  Support pairs whose
     indifference system is singular but solvable are flagged degenerate;
     one member of the family is sampled, the family is not enumerated.
-    The arithmetic is exact when mode is not 'float' and every entry is
-    exact, else float: elimination at PIVOT_TOL, deviations at DEVIATION_TOL.
+    Mode 'exact' computes in Q(sqrt(2)) and raises ExactnessError for a
+    float entry; mode 'float' eliminates at PIVOT_TOL and judges deviations
+    at DEVIATION_TOL.
 
     A pair (R, C) is skipped unsolved when some r in R is beaten by another
     pure r' on every column of C (or likewise some c in C on R).  Every mix q
@@ -224,8 +225,6 @@ def mixed_equilibria(g: ExtendedGame, mode: str = "auto") -> EquilibriumReport:
         )
     linear = Field.of((v for row in g.payoffs for cell in row for v in cell),
                       mode, PIVOT_TOL)
-    if mode == "exact" and not linear.exact:
-        raise ExactnessError("exact mode requires exact game entries")
     field = linear if linear.exact else Field(DEVIATION_TOL)
     u1, u2 = _payoff_grids(g, linear)
     # exact games run on integers: scale every entry by the lcm of the

@@ -14,15 +14,11 @@ import re
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from typing import TYPE_CHECKING, List, NamedTuple, Tuple, Union
+from typing import List, NamedTuple, Tuple, Union
 
 from .errors import DimensionMismatchError, DomainError, ExactnessError
-from .exactnum import (EXACT, FLOAT_TOL, Q2, Field, _parts, exact_cos, normalize,
-                       scalar_is_exact)
+from .exactnum import Q2, Field, _parts, check_mode, exact_cos, normalize, scalar_is_exact
 from .su2 import StrategyParams, unitary_entries
-
-if TYPE_CHECKING:
-    import numpy as np
 
 Scalar = Union[Fraction, Q2, float, int]
 
@@ -30,7 +26,6 @@ _HALF = Fraction(1, 2)
 _QUARTER = Fraction(1, 4)
 _MAX_DIGITS = 4000  # exact numerators and denominators; str(int) stops at 4300
 _EXACT_LIMIT = 10 ** _MAX_DIGITS
-_FLOAT = Field(FLOAT_TOL)
 
 
 class PayoffPair(NamedTuple):
@@ -215,27 +210,20 @@ def _coefficients_exact(t1: Fraction, a1: Fraction, b1: Fraction,
 
 
 def coefficients(p1: StrategyParams, p2: StrategyParams,
-                 mode: str = "auto") -> CoefficientVector:
+                 mode: str = "exact") -> CoefficientVector:
     """The four squared final-state amplitudes, in Delta_00..Delta_11 order.
 
-    mode 'exact' demands angles whose trigonometry closes in Q(sqrt(2)) and
-    raises ExactnessError otherwise; 'float' always uses doubles; 'auto'
-    uses exact arithmetic when the inputs allow it.  Float components are
-    clamped at 0, which rounding in the expansion can undercut by ~1e-16.
+    Mode 'exact' gives Q(sqrt(2)) values and raises ExactnessError for an
+    angle that is not a rational multiple of pi or whose trigonometry leaves
+    Q(sqrt(2)), as pi/6 does; mode 'float' evaluates the same closed form in
+    doubles, with components clamped at 0, which rounding in the expansion
+    can undercut by ~1e-16.
     """
-    if mode not in ("auto", "exact", "float"):
-        raise ValueError(f"unknown mode {mode!r}")
-    if mode != "float" and p1.is_exact and p2.is_exact:
-        try:
-            return _coefficients_exact(
-                p1.theta.frac, p1.alpha.frac, p1.beta.frac,
-                p2.theta.frac, p2.alpha.frac, p2.beta.frac,
-            )
-        except ExactnessError:
-            if mode == "exact":
-                raise
-    elif mode == "exact":
-        raise ExactnessError("exact mode needs exact rational-of-pi angles")
+    if check_mode(mode) == "exact":
+        return _coefficients_exact(
+            p1.theta.frac, p1.alpha.frac, p1.beta.frac,
+            p2.theta.frac, p2.alpha.frac, p2.beta.frac,
+        )
     c00, c01, c10, c11 = _closed_form(
         _float_cos, p1.theta.pi_units, p1.alpha.pi_units, p1.beta.pi_units,
         p2.theta.pi_units, p2.alpha.pi_units, p2.beta.pi_units)
@@ -245,29 +233,30 @@ def coefficients(p1: StrategyParams, p2: StrategyParams,
 # -- payoffs -----------------------------------------------------------------
 
 
-def coefficient_grid(strategies, mode: str = "auto") -> tuple:
+def coefficient_grid(strategies, mode: str = "exact") -> tuple:
     """coefficients(p, q) for every pair of strategies: row p, column q.
 
     The grid depends on the strategies only, so the extensions of a game and
     of its swapped variants over the same set share one.
     """
+    check_mode(mode)
     return tuple(tuple(coefficients(p, q, mode=mode) for q in strategies) for p in strategies)
 
 
 def payoff_grid(game: Bimatrix2, grid) -> Tuple[Tuple[PayoffPair, ...], ...]:
-    """Both players' payoffs for every coefficient vector of a grid: the
-    vector's weighted sum of the game's entries, exact when the vector and
-    the game are, else in floats."""
+    """Both players' payoffs for every coefficient vector of a nonempty
+    grid: the vector's weighted sum of the game's entries.
+
+    coefficient_grid computes a grid in one mode, so the grid is all exact
+    or all float, and the sums are taken in that mode: exact sums raise
+    ExactnessError for a float game entry.
+    """
     cells = (game.delta[0][0], game.delta[0][1], game.delta[1][0], game.delta[1][1])
-    entries = [p.u1 for p in cells], [p.u2 for p in cells]
-    exact = game.is_exact
-    vectors = {}  # field -> both players' entries, converted once per game
+    mode = "exact" if scalar_is_exact(grid[0][0].c00) else "float"
+    field = Field.of((v for p in cells for v in p), mode)
+    u1, u2 = field.vector(p.u1 for p in cells), field.vector(p.u2 for p in cells)
 
     def pair(c):
-        field = EXACT if exact and scalar_is_exact(c.c00) else _FLOAT
-        if field not in vectors:  # floats only on demand: an exact entry may overflow one
-            vectors[field] = [field.vector(u) for u in entries]
-        u1, u2 = vectors[field]
         c = field.vector(c)
         return PayoffPair(field.dot(c, u1), field.dot(c, u2))
 
@@ -275,7 +264,7 @@ def payoff_grid(game: Bimatrix2, grid) -> Tuple[Tuple[PayoffPair, ...], ...]:
 
 
 def payoff_closed_form(game: Bimatrix2, p1: StrategyParams, p2: StrategyParams,
-                       mode: str = "auto") -> PayoffPair:
+                       mode: str = "exact") -> PayoffPair:
     """Both players' payoffs as the coefficient-weighted sum of game entries."""
     return payoff_grid(game, ((coefficients(p1, p2, mode=mode),),))[0][0]
 
@@ -285,19 +274,14 @@ def payoff_closed_form(game: Bimatrix2, p1: StrategyParams, p2: StrategyParams,
 _SQRT2 = math.sqrt(2.0)
 
 
-def _statevector(p1: StrategyParams, p2: StrategyParams) -> List[complex]:
-    """final_state in plain complex arithmetic.  J = (1 + i X x X)/sqrt 2, so
-    J|00> = (|00> + i|11>)/sqrt 2, and J^dag mixes |k> with |3 - k> = X x X |k>."""
+def statevector(p1: StrategyParams, p2: StrategyParams) -> List[complex]:
+    """|Psi> = J^dag (U1 x U2) J |00> over |00>,|01>,|10>,|11>, in plain
+    complex arithmetic.  J = (1 + i X x X)/sqrt 2, so J|00> = (|00> +
+    i|11>)/sqrt 2, and J^dag mixes |k> with |3 - k> = X x X |k>."""
     a, b = unitary_entries(p1), unitary_entries(p2)
     v = [(a[r][0] * b[c][0] + 1j * a[r][1] * b[c][1]) / _SQRT2
          for r in (0, 1) for c in (0, 1)]
     return [(v[k] - 1j * v[3 - k]) / _SQRT2 for k in range(4)]
-
-
-def final_state(p1: StrategyParams, p2: StrategyParams) -> np.ndarray:
-    """|Psi> = J^dag (U1 x U2) J |00> as a 4-vector over |00>,|01>,|10>,|11>."""
-    import numpy as np
-    return np.array(_statevector(p1, p2))
 
 
 def payoff_oracle(game: Bimatrix2, p1: StrategyParams, p2: StrategyParams) -> PayoffPair:
@@ -307,7 +291,7 @@ def payoff_oracle(game: Bimatrix2, p1: StrategyParams, p2: StrategyParams) -> Pa
     the classical payoffs as weights, so expectation values reduce to
     probability-weighted sums.
     """
-    probs = [abs(z) ** 2 for z in _statevector(p1, p2)]
+    probs = [abs(z) ** 2 for z in statevector(p1, p2)]
     cells = (game.delta[0][0], game.delta[0][1], game.delta[1][0], game.delta[1][1])
     u1 = float(sum(w * float(p.u1) for w, p in zip(probs, cells)))
     u2 = float(sum(w * float(p.u2) for w, p in zip(probs, cells)))

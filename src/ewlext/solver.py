@@ -45,7 +45,7 @@ from itertools import product
 from typing import Dict, Iterator, List, Tuple
 
 from .errors import DomainError, ExactnessError
-from .exactnum import EXACT, FLOAT_TOL, Angle, Field
+from .exactnum import EXACT, FLOAT_TOL, Angle, Field, check_mode
 from .extensions import FAMILY_RULES
 from .payoff import coefficients
 from .su2 import canonicalize
@@ -261,18 +261,12 @@ def search_solutions(spec: LatticeSpec, mode: str = "exact") -> SearchResult:
     pi/4 lattice, 4096 on pi/8), interned to integer ids, and the criterion
     decided on integer comparisons for the tuples its head filter admits.
     criterion_holds is its reference.  Mode 'exact' interns exact
-    Q(sqrt(2)) vectors and needs the pi/4 step (pi/8 trigonometry leaves
-    Q(sqrt(2))); mode 'float' interns doubles at tolerance FLOAT_TOL = 1e-10
-    and raises ToleranceError if they do not separate cleanly at it.  Mode
-    'auto' is 'exact' on the pi/4 lattice and falls back to 'float' on the
-    pi/8 lattice.
+    Q(sqrt(2)) vectors and raises ExactnessError on the pi/8 step and at a
+    theta1 such as pi/6, whose trigonometry leaves Q(sqrt(2)); mode 'float'
+    interns doubles at tolerance FLOAT_TOL = 1e-10 and raises ToleranceError
+    if they do not separate cleanly at it.
     """
-    if mode not in ("auto", "exact", "float"):
-        raise ValueError(f"unknown mode {mode!r}")
-    eighth = spec.phase_step == Fraction(1, 8)
-    if mode == "auto":
-        mode = "float" if eighth else "exact"
-    if mode == "exact" and eighth:
+    if check_mode(mode) == "exact" and spec.phase_step == Fraction(1, 8):
         raise ExactnessError(
             "exact search supports the pi/4 lattice only; "
             "run the pi/8 stress lattice in float mode"

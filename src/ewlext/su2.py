@@ -7,13 +7,10 @@ from __future__ import annotations
 import cmath
 import math
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Tuple
+from typing import Tuple
 
 from .errors import DomainError
 from .exactnum import ANGLE_PI, Angle
-
-if TYPE_CHECKING:
-    import numpy as np
 
 _TWO_PI = Angle.pi_frac(2)
 
@@ -86,17 +83,12 @@ IX = canonicalize(1, 0, 0)  # i * sigma_x
 
 
 def unitary_entries(p: StrategyParams) -> Tuple[Tuple[complex, complex], ...]:
-    """Rows of the strategy's 2x2 matrix as plain complex numbers."""
+    """Rows of the strategy's 2x2 matrix as plain complex numbers; special
+    unitary by construction."""
     th, al, be = p.theta.to_radians(), p.alpha.to_radians(), p.beta.to_radians()
     c, s = math.cos(th / 2.0), math.sin(th / 2.0)
     ea, eb = cmath.exp(1j * al), cmath.exp(1j * be)
     return ((ea * c, 1j * eb * s), (1j * s / eb, c / ea))
-
-
-def build_unitary(p: StrategyParams) -> np.ndarray:
-    """2x2 complex matrix of the strategy; special unitary by construction."""
-    import numpy as np
-    return np.array(unitary_entries(p), dtype=complex)
 
 
 def phi(p: StrategyParams) -> StrategyParams:

@@ -1,9 +1,22 @@
 import random
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from ewlext import Bimatrix2, canonicalize
+from ewlext.payoff import statevector
+from ewlext.su2 import unitary_entries
+
+
+def build_unitary(p):
+    """The strategy's 2x2 matrix as a numpy array, from su2.unitary_entries."""
+    return np.array(unitary_entries(p), dtype=complex)
+
+
+def final_state(p1, p2):
+    """J^dag (U1 x U2) J |00> as a numpy 4-vector, from payoff.statevector."""
+    return np.array(statevector(p1, p2))
 
 
 def random_rational_game(rng, lo=0, hi=5, den=8):

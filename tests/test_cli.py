@@ -268,13 +268,33 @@ def test_enumerate_counts_hits_with_and_without_the_named_relations(capsys):
         "criterion only: 288, criterion + named relations: 192"]
 
 
+def test_enumerate_stdout_ends_in_one_newline(capsys, tmp_path):
+    code, out, _ = run(capsys, "enumerate", "--theta", "1/2 pi")
+    assert code == 0
+    assert out.endswith("\n") and not out.endswith("\n\n")
+    assert out.count("\n") == 1 + 288
+    path = tmp_path / "hits.csv"
+    code, _, _ = run(capsys, "enumerate", "--theta", "1/2 pi", "--output", str(path))
+    assert code == 0 and path.read_text() == out
+
+
 # Imports ewlext and runs the one-game commands and two lattice searches (an
 # exact pi/4 slice, a float pi/8 slice) in a fresh interpreter; after each
-# step it reports the exit code and whether numpy and ewlext.solver are
+# step it reports the exit code, the modules loaded since start-up that are
+# neither in the standard library nor ewlext, and whether ewlext.solver is
 # loaded.
 _START_UP = """
-import contextlib, io, json, sys
+import sys
+before = set(sys.modules)
+import contextlib, io, json
 import ewlext, ewlext.cli
+
+
+def foreign():
+    return sorted(m for m in set(sys.modules) - before
+                  if m.partition(".")[0] not in (*sys.stdlib_module_names, "ewlext"))
+
+
 game = sys.argv[1]
 cls = ["--class", "C", "--theta1", "1/3 pi", "--game", game]
 runs = [["extend", *cls, "--oracle-check"], ["verify", *cls],
@@ -285,16 +305,17 @@ runs = [["extend", *cls, "--oracle-check"], ["verify", *cls],
         ["limits", "--game", game],
         ["enumerate", "--theta", "1/3 pi"],
         ["enumerate", "--theta", "1/3 pi", "--step", "1/8", "--mode", "float"]]
-report = [["import", 0, "numpy" in sys.modules, "ewlext.solver" in sys.modules]]
+report = [["import", 0, foreign(), "ewlext.solver" in sys.modules]]
 for argv in runs:
     with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
         code = ewlext.cli.main(argv)
-    report.append([argv[0], code, "numpy" in sys.modules, "ewlext.solver" in sys.modules])
+    report.append([argv[0], code, foreign(), "ewlext.solver" in sys.modules])
 print(json.dumps(report))
 """
 
 
 def test_one_game_commands_do_not_load_numpy(pd_file):
+    # nor any other module outside the standard library
     src = str(Path(ewlext.__file__).resolve().parents[1])
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         filter(None, [src, os.environ.get("PYTHONPATH")])))
@@ -302,7 +323,7 @@ def test_one_game_commands_do_not_load_numpy(pd_file):
                           capture_output=True, text=True, env=env, timeout=120)
     assert proc.returncode == 0, proc.stderr
     assert json.loads(proc.stdout) == [
-        [command, 0, False, True]
+        [command, 0, [], True]
         for command in ("import", "extend", "verify", "verify", "equilibria", "payoff",
                         "limits", "enumerate", "enumerate")]
 

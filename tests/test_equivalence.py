@@ -5,6 +5,7 @@ from fractions import Fraction
 import pytest
 
 from ewlext import (
+    ExactnessError,
     IDENTITY,
     IX,
     ToleranceError,
@@ -126,19 +127,21 @@ def test_sampled_opponents_distinguish_finite_set_equivalence():
     # a global-sign pair stays equivalent against sampled opponents
     p = canonicalize("1/3 pi", 0, "1/4 pi")
     q = canonicalize("1/3 pi", 1, "5/4 pi")
-    assert are_equivalent(p, q, sampled, tol=1e-10)
+    assert are_equivalent(p, q, sampled, mode="float", tol=1e-10)
     # a pair equivalent only relative to its own strategy set does not
     u1 = canonicalize("1/3 pi", "1/4 pi", "1/4 pi")
     u2 = canonicalize("2/3 pi", "3/4 pi", "3/4 pi")
     own_set = [IDENTITY, IX, u1, u2]
     assert are_equivalent(phi(u1), u2, own_set)
-    assert not are_equivalent(phi(u1), u2, sampled, tol=1e-10)
+    assert not are_equivalent(phi(u1), u2, sampled, mode="float", tol=1e-10)
 
 
 def test_field_comparison_rules():
     exact, approx = EXACT, Field(1e-9)
     assert Field.of([Fraction(1, 2), Q2(0, 1), 3]) is EXACT
-    assert Field.of([Fraction(1, 2), 0.5], tol=1e-9) == approx
+    assert Field.of_values([Fraction(1, 2), 0.5], tol=1e-9) == approx
+    with pytest.raises(ExactnessError):
+        Field.of([Fraction(1, 2), 0.5], tol=1e-9)
     assert Field.of([Fraction(1, 2)], mode="float", tol=1e-9) == approx
     assert exact.dot(exact.vector([1, Fraction(1, 2)]), exact.vector([Q2(0, 1), 4])) == Q2(2, 1)
     assert approx.dot(approx.vector([1, Fraction(1, 2)]), approx.vector([2, 4])) == 4.0

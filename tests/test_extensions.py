@@ -13,7 +13,6 @@ from ewlext import (
     NotDiscreteError,
     PRISONERS_DILEMMA,
     build_extended_game,
-    build_unitary,
     criterion_holds,
     enumerate_discrete_solutions,
     extension_matrix,
@@ -22,7 +21,7 @@ from ewlext import (
     verify_invariance_end_to_end,
 )
 from ewlext.extensions import limit_target
-from conftest import random_rational_game
+from conftest import build_unitary, random_rational_game
 
 PD = PRISONERS_DILEMMA
 HALF = Fraction(1, 2)

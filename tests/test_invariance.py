@@ -7,6 +7,7 @@ from ewlext import (
     ClassId,
     ClassParams,
     DimensionMismatchError,
+    ExactnessError,
     ExtendedGame,
     IDENTITY,
     IX,
@@ -304,7 +305,7 @@ REFERENCE_GAMES = [
 def reference_sum(coeffs, entries):
     """One field for the pair of vectors, Python's sum over the converted
     products, then normalize: the plain route the payoff sums must match."""
-    field = Field.of([*coeffs, *entries])
+    field = Field.of_values([*coeffs, *entries])
     return normalize(sum((field.convert(k) * field.convert(v)
                           for k, v in zip(coeffs, entries)), field.convert(0)))
 
@@ -356,7 +357,13 @@ def test_payoff_sums_match_the_per_cell_reference(cid, theta1):
         for g in (game, floated(game)):
             want = reference_block_matrix(g, _blocks(params))
             assert identical(extension_matrix(params, g).payoffs, want)
-            for mode in ("auto", "float"):
+            for mode in ("exact", "float"):
+                if mode == "exact" and g is not game:
+                    with pytest.raises(ExactnessError):
+                        build_extended_game(g, strategies, mode=mode)
+                    with pytest.raises(ExactnessError):
+                        verify_invariance_end_to_end(g, strategies, mode=mode)
+                    continue
                 want = reference_extension(g, strategies, mode)
                 assert identical(build_extended_game(g, strategies, mode=mode).payoffs, want)
                 base = ExtendedGame(("I", "iX", "U1", "U2"), want)
@@ -372,14 +379,19 @@ def test_payoff_sums_match_the_per_cell_reference(cid, theta1):
                     InvarianceReport(all(w.isomorphic for w in witnesses), tuple(witnesses))
 
 
-def test_payoff_sums_choose_the_field_per_cell():
-    # cos(pi/6) is not in Q(sqrt(2)): pairs with the third strategy fall back
-    # to float coefficients, the others stay exact, in one extension
+def test_extension_rejects_auto_and_leaves_q_sqrt2_only_in_float_mode():
+    # cos(pi/6) is not in Q(sqrt(2)): exact mode raises rather than mix in
+    # float pairs, and float mode gives floats in every cell
     strategies = [IDENTITY, IX, canonicalize("1/6 pi", "1/4 pi", 0)]
     for game in REFERENCE_GAMES:
-        got = build_extended_game(game, strategies).payoffs
-        assert identical(got, reference_extension(game, strategies, "auto"))
-        assert isinstance(got[0][1].u1, Fraction) and isinstance(got[0][2].u1, float)
+        for mode in ("auto", "flaot"):
+            with pytest.raises(ValueError, match="unknown mode"):
+                build_extended_game(game, strategies, mode=mode)
+        with pytest.raises(ExactnessError):
+            build_extended_game(game, strategies)
+        got = build_extended_game(game, strategies, mode="float").payoffs
+        assert identical(got, reference_extension(game, strategies, "float"))
+        assert all(isinstance(v, float) for row in got for p in row for v in p)
 
 
 def test_an_exact_entry_beyond_float_range_stays_exact():
@@ -390,7 +402,7 @@ def test_an_exact_entry_beyond_float_range_stays_exact():
 def test_end_to_end_check_computes_one_coefficient_grid(monkeypatch):
     calls = []
 
-    def counted(p, q, mode="auto"):
+    def counted(p, q, mode="exact"):
         calls.append((p, q))
         return coefficients(p, q, mode=mode)
 

@@ -13,14 +13,15 @@ from ewlext import (
     IX,
     PRISONERS_DILEMMA,
     Q2,
-    build_unitary,
     canonicalize,
     coefficients,
     payoff_closed_form,
     payoff_oracle,
 )
-from ewlext.payoff import final_state, format_scalar, parse_scalar
+from ewlext.payoff import format_scalar, parse_scalar
 from conftest import (
+    build_unitary,
+    final_state,
     random_exact_pair,
     random_float_game,
     random_float_params,
@@ -53,7 +54,7 @@ def test_classical_embedding_reproduces_bimatrix(rng):
     table = [[IDENTITY, IX][i] for i in range(2)]
     for i, p in enumerate(table):
         for j, q in enumerate(table):
-            pay = payoff_closed_form(game, p, q)
+            pay = payoff_closed_form(game, p, q, mode="float")
             cell = game.delta[i][j]
             assert float(pay.u1) == pytest.approx(float(cell.u1), abs=1e-12)
             assert float(pay.u2) == pytest.approx(float(cell.u2), abs=1e-12)
@@ -88,12 +89,22 @@ def test_oracle_matches_closed_form(rng):
 
 def test_oracle_matches_exact_path(rng):
     game = PRISONERS_DILEMMA
+    modes = set()
     for _ in range(200):
         p1, p2 = random_lattice_params(rng), random_lattice_params(rng)
-        a = payoff_closed_form(game, p1, p2)
+        # cos(theta1 +- theta2) decides whether the pair stays in Q(sqrt(2))
+        t1, t2 = p1.theta.frac, p2.theta.frac
+        exact = max((t1 + t2).denominator, (t1 - t2).denominator) <= 4
+        mode = "exact" if exact else "float"
+        if mode == "float":
+            with pytest.raises(ExactnessError):
+                payoff_closed_form(game, p1, p2)
+        modes.add(mode)
+        a = payoff_closed_form(game, p1, p2, mode=mode)
         b = payoff_oracle(game, p1, p2)
         assert abs(float(a.u1) - b.u1) <= 1e-10
         assert abs(float(a.u2) - b.u2) <= 1e-10
+    assert modes == {"exact", "float"}
 
 
 # theta sets whose pairs keep the trigonometry in Q(sqrt(2)), and the pi/8 grid

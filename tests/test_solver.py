@@ -452,7 +452,7 @@ def test_float_search_refuses_a_table_with_a_gap_near_tol(monkeypatch):
     # equal vectors at alpha = 15 pi/8: the kernel raises rather than guess
     real = solver.coefficients
 
-    def nudged(p1, p2, mode="auto"):
+    def nudged(p1, p2, mode="exact"):
         c = real(p1, p2, mode=mode)
         if p1.alpha.frac == Fraction(1, 8):
             return c._replace(c00=c.c00 + 3 * FLOAT_TOL)
@@ -470,15 +470,14 @@ def test_float_search_equals_exact_search_on_quarter_lattice(theta):
     assert search_solutions(spec, mode="float") == search_solutions(spec, mode="exact")
 
 
-def test_auto_mode_is_exact_on_quarter_and_float_on_eighth_lattice(result_half_pi,
-                                                                    eighth_half_pi):
-    assert search_solutions(LatticeSpec.create(["1/2 pi"]), mode="auto") == result_half_pi
-    assert search_solutions(LatticeSpec.create(["1/2 pi"], "1/8"),
-                            mode="auto") == eighth_half_pi
-    with pytest.raises(ExactnessError):  # exact on pi/4: no float fall-back
-        search_solutions(LatticeSpec.create(["1/6 pi"]), mode="auto")
-    with pytest.raises(ValueError, match="unknown mode"):
-        search_solutions(LatticeSpec.create(["1/2 pi"]), mode="fast")
+def test_search_rejects_auto_and_raises_outside_q_sqrt2_in_exact_mode():
+    for mode in ("auto", "fast"):
+        with pytest.raises(ValueError, match="unknown mode"):
+            search_solutions(LatticeSpec.create(["1/2 pi"]), mode=mode)
+    with pytest.raises(ExactnessError):  # cos(pi/6) leaves Q(sqrt(2))
+        search_solutions(LatticeSpec.create(["1/6 pi"]))
+    with pytest.raises(ExactnessError):  # so does pi/8 trigonometry
+        search_solutions(LatticeSpec.create(["1/2 pi"], "1/8"))
 
 
 @pytest.mark.parametrize("step", ["1/0", "abc", "1/0 pi", "1/3"])

@@ -10,11 +10,10 @@ from ewlext import (
     IX,
     StrategyParams,
     are_equivalent,
-    build_unitary,
     canonicalize,
     phi,
 )
-from conftest import random_float_params, random_lattice_params
+from conftest import build_unitary, random_float_params, random_lattice_params
 
 UNITARITY_TOL = 1e-12
 
@@ -98,7 +97,7 @@ def test_phi_involution_up_to_equivalence(rng):
     for _ in range(40):
         p = random_float_params(rng)
         pp = phi(phi(p))
-        assert are_equivalent(pp, p, opponents + [p, pp], tol=1e-10)
+        assert are_equivalent(pp, p, opponents + [p, pp], mode="float", tol=1e-10)
 
 
 def test_params_json_round_trip(rng):
