@@ -8,11 +8,7 @@ where a value would leave it; 'float' computes in doubles.  Any other mode
 raises ValueError.  The package uses the standard library only.
 """
 
-from .equivalence import (
-    EquivClassPartition,
-    are_equivalent,
-    partition,
-)
+from .equivalence import are_equivalent, partition
 from .errors import (
     DimensionMismatchError,
     DomainError,
@@ -72,7 +68,6 @@ __all__ = [
     "CoefficientVector",
     "DimensionMismatchError",
     "DomainError",
-    "EquivClassPartition",
     "Equilibrium",
     "EquilibriumReport",
     "EwlError",

@@ -12,8 +12,8 @@ swapped, so player 2's side yields the same classes.
 Two rows of vectors are equal iff their row_keys are: every slot (opponent x
 component) is interned across the rows by Field.intern, the rule that
 criterion_holds, strongly_isomorphic and the lattice search also use.  A
-float comparison whose values fall between tol/100 and 100 tol raises
-ToleranceError instead of a verdict that hangs on rounding.
+float comparison whose values fall between FLOAT_TOL/100 and 100 FLOAT_TOL
+raises ToleranceError instead of a verdict that hangs on rounding.
 
 The opponent set is a parameter.  The quotient criterion uses the game's own
 finite strategy set; callers wanting a stricter notion can pass a sample of
@@ -22,10 +22,9 @@ SU(2) instead.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Dict, List, Sequence, Tuple
 
-from .exactnum import EXACT, FLOAT_TOL, Field, check_mode  # noqa: F401  (EXACT re-exported)
+from .exactnum import EXACT, FLOAT_TOL, Field, check_mode  # noqa: F401  (re-exported)
 from .payoff import CoefficientVector, coefficients
 from .su2 import StrategyParams
 
@@ -37,24 +36,24 @@ def coefficient_row(p: StrategyParams, opponents: Sequence[StrategyParams],
     return tuple(coefficients(p, o, mode=mode) for o in opponents)
 
 
-def row_keys(rows, mode: str = "exact", tol: float = FLOAT_TOL) -> List[Tuple[int, ...]]:
+def row_keys(rows, mode: str = "exact") -> List[Tuple[int, ...]]:
     """One tuple of ids per row of coefficient vectors: two rows are equal
     iff their keys are.
 
     Each slot (opponent x component) is interned across the rows by
-    Field.of(entries, mode, tol): mode 'exact' raises ExactnessError for a
+    Field.of(entries, mode): mode 'exact' raises ExactnessError for a
     float entry, and mode 'float' raises ToleranceError unless the values
-    of every slot fall into clusters at most tol/100 wide and at least
-    100 tol apart.
+    of every slot fall into clusters at most FLOAT_TOL/100 wide and at
+    least 100 FLOAT_TOL apart.
     """
     flat = [[x for v in row for x in v] for row in rows]
-    field = Field.of((x for row in flat for x in row), mode, tol)
+    field = Field.of((x for row in flat for x in row), mode)
     return list(zip(*(field.intern(slot) for slot in zip(*flat))))
 
 
 def are_equivalent(p: StrategyParams, q: StrategyParams,
                    opponents: Sequence[StrategyParams],
-                   mode: str = "exact", tol: float = FLOAT_TOL) -> bool:
+                   mode: str = "exact") -> bool:
     """True iff p and q yield identical coefficient vectors against every opponent.
 
     Opponents may be any finite sample; callers wanting a stricter check can
@@ -63,19 +62,8 @@ def are_equivalent(p: StrategyParams, q: StrategyParams,
     if not opponents:
         raise ValueError("opponents must be nonempty")
     k1, k2 = row_keys([coefficient_row(p, opponents, mode=mode),
-                       coefficient_row(q, opponents, mode=mode)], mode, tol)
+                       coefficient_row(q, opponents, mode=mode)], mode)
     return k1 == k2
-
-
-@dataclass(frozen=True)
-class EquivClassPartition:
-    """Disjoint classes of indices into a strategy list; pairwise equivalent
-    within a class, inequivalent across classes."""
-
-    classes: Tuple[Tuple[int, ...], ...]
-
-    def __len__(self):
-        return len(self.classes)
 
 
 def _classes(keys) -> Tuple[Tuple[int, ...], ...]:
@@ -88,10 +76,11 @@ def _classes(keys) -> Tuple[Tuple[int, ...], ...]:
 
 
 def partition(strategies: Sequence[StrategyParams],
-              mode: str = "exact") -> EquivClassPartition:
+              mode: str = "exact") -> Tuple[Tuple[int, ...], ...]:
     """Partition a finite strategy set into payoff-equivalence classes,
-    with the set itself as the opponent universe."""
+    with the set itself as the opponent universe: tuples of indices into
+    it, each class and the classes in ascending order."""
     if not strategies:
         raise ValueError("strategies must be nonempty")
     rows = [coefficient_row(p, strategies, mode=mode) for p in strategies]
-    return EquivClassPartition(_classes(row_keys(rows, mode)))
+    return _classes(row_keys(rows, mode))

@@ -476,10 +476,10 @@ class Field:
         return EXACT
 
     @staticmethod
-    def of_values(values, tol: float = FLOAT_TOL) -> "Field":
+    def of_values(values) -> "Field":
         """The field of the values themselves, for the mode-less helpers:
-        exact when every value is exact, else Field(tol)."""
-        return EXACT if all(map(scalar_is_exact, values)) else Field(tol)
+        exact when every value is exact, else Field(FLOAT_TOL)."""
+        return EXACT if all(map(scalar_is_exact, values)) else Field(FLOAT_TOL)
 
     @property
     def exact(self) -> bool:

@@ -13,6 +13,7 @@ import math
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
+from itertools import product
 from typing import List, Optional, Sequence, Tuple
 
 from .errors import InvalidClassParams, NotDiscreteError
@@ -192,16 +193,6 @@ class ClassParams:
         if message is not None:
             raise InvalidClassParams(message)
 
-    def to_json(self) -> dict:
-        return {
-            "class": self.class_id.value,
-            "theta1": self.theta1.format(),
-            "alpha1": self.alpha1.format(),
-            "beta1": self.beta1.format(),
-            "alpha2": self.alpha2.format(),
-            "beta2": self.beta2.format(),
-        }
-
 
 # -- discrete solution sets ---------------------------------------------------
 
@@ -211,33 +202,23 @@ _P0 = (Fraction(0), Fraction(1))
 _P12 = (Fraction(1, 2), Fraction(3, 2))
 
 
-def _products(*factor_lists):
-    out = []
-    for factors in factor_lists:
-        tuples = [()]
-        for fs in factors:
-            tuples = [t + (f,) for t in tuples for f in fs]
-        out.extend(tuples)
-    return out
-
-
 _SOLUTIONS = {
-    ClassId.B: _products(
-        (_P14, _P14, _P14, _P14),
-        (_P14, _P34, _P34, _P14),
-        (_P34, _P14, _P14, _P34),
-        (_P34, _P34, _P34, _P34),
-    ),
-    ClassId.C: _products(
-        (_P14, _P14, _P34, _P34),
-        (_P34, _P34, _P14, _P14),
-        (_P14, _P34, _P14, _P34),
-        (_P34, _P14, _P34, _P14),
-    ),
-    ClassId.D1: _products((_P0, _P0, _P0, _P0)),
-    ClassId.D2: _products((_P12, _P12, _P12, _P12)),
-    ClassId.E1: _products((_P0, _P12, _P12, _P0)),
-    ClassId.E2: _products((_P12, _P0, _P0, _P12)),
+    ClassId.B: [
+        *product(_P14, _P14, _P14, _P14),
+        *product(_P14, _P34, _P34, _P14),
+        *product(_P34, _P14, _P14, _P34),
+        *product(_P34, _P34, _P34, _P34),
+    ],
+    ClassId.C: [
+        *product(_P14, _P14, _P34, _P34),
+        *product(_P34, _P34, _P14, _P14),
+        *product(_P14, _P34, _P14, _P34),
+        *product(_P34, _P14, _P34, _P14),
+    ],
+    ClassId.D1: list(product(_P0, _P0, _P0, _P0)),
+    ClassId.D2: list(product(_P12, _P12, _P12, _P12)),
+    ClassId.E1: list(product(_P0, _P12, _P12, _P0)),
+    ClassId.E2: list(product(_P12, _P0, _P0, _P12)),
 }
 
 
@@ -347,17 +328,6 @@ class LimitCheck:
     def converged(self) -> bool:
         return all(d <= b for d, b in zip(self.max_abs_diff, self.bounds))
 
-    def to_json(self) -> dict:
-        return {
-            "class": self.source.value,
-            "direction": "theta1->0" if self.direction == "zero" else "theta1->pi",
-            "target": self.target.to_json(),
-            "theta1": list(self.thetas),
-            "max_abs_diff": list(self.max_abs_diff),
-            "bound": list(self.bounds),
-            "converged": self.converged,
-        }
-
 
 def _max_entry_diff(g1: ExtendedGame, g2: ExtendedGame) -> float:
     return max(
@@ -382,11 +352,16 @@ def limit_check(class_id: ClassId, direction: str, game: Bimatrix2,
                 thetas: Sequence[float] = (1e-3, 1e-6)) -> LimitCheck:
     """Verify entrywise convergence of the family matrix to its A-class target.
 
-    For each probe theta1 the difference is bounded by 10 * t' (theta1 -> 0)
-    or 10 * t (theta1 -> pi), valid for payoff entries spanning at most 5.
+    For each probe theta1 the difference is bounded by 10 * s * max(1, span/5),
+    s = t' (theta1 -> 0) or t (theta1 -> pi) and span the largest minus the
+    smallest of the game's eight entries.  Every block row sums to 1, so each
+    entry and its target are convex combinations of the game's entries: the
+    difference is unchanged by adding a constant to the game and scales with it.
     """
     target = limit_target(class_id, direction)
     target_matrix = extension_matrix(target, game)
+    entries = [float(v) for row in game.delta for p in row for v in p]
+    scale = max(1.0, (max(entries) - min(entries)) / 5.0)
     probe_thetas, diffs, bounds = [], [], []
     for eps in thetas:
         theta = eps if direction == "zero" else math.pi - eps
@@ -397,7 +372,7 @@ def limit_check(class_id: ClassId, direction: str, game: Bimatrix2,
         )
         mat = extension_matrix(probe, game)
         t = math.cos(theta / 2.0) ** 2
-        bound = 10.0 * (1.0 - t) if direction == "zero" else 10.0 * t
+        bound = (10.0 * (1.0 - t) if direction == "zero" else 10.0 * t) * scale
         probe_thetas.append(theta)
         diffs.append(_max_entry_diff(mat, target_matrix))
         bounds.append(bound)

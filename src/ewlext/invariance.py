@@ -173,13 +173,6 @@ class CriterionReport:
     classes: Tuple[Tuple[int, ...], ...]
     image_class: Tuple[int, ...]  # class index hit by phi of each strategy, -1 if none
 
-    def to_json(self) -> dict:
-        return {
-            "holds": self.holds,
-            "classes": [list(c) for c in self.classes],
-            "phi_image_class": list(self.image_class),
-        }
-
 
 def criterion_holds(strategies: Sequence[StrategyParams],
                     mode: str = "exact") -> CriterionReport:

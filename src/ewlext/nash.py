@@ -291,7 +291,7 @@ def mixed_equilibria(g: ExtendedGame, mode: str = "exact") -> EquilibriumReport:
                        tuple(float(v) for v in e.profile.p2)),
     )
     degenerate = degenerate or any(
-        _excess_best_responses(u1, u2, e, field) for e in ordered
+        _excess_best_responses(g, e, field) for e in ordered
     )
     return EquilibriumReport(tuple(ordered), degenerate)
 
@@ -321,12 +321,11 @@ def _value(num, d, field):
     return normalize(Q2.coerce(num) / d)
 
 
-def _excess_best_responses(u1, u2, eq: "Equilibrium", field) -> bool:
+def _excess_best_responses(g: ExtendedGame, eq: "Equilibrium", field) -> bool:
     """Degeneracy test: a mix with more pure best responses than its
     opponent's support size signals an equilibrium family."""
-    n = len(eq.profile.p1)
-    vals1 = [sum(u1[i][j] * eq.profile.p2[j] for j in range(n)) for i in range(n)]
-    vals2 = [sum(u2[i][j] * eq.profile.p1[i] for i in range(n)) for j in range(n)]
+    vals1 = best_response_values(g, eq.profile.p2, side="row")
+    vals2 = best_response_values(g, eq.profile.p1, side="col")
     m1, m2 = max(vals1), max(vals2)
     br1 = sum(1 for v in vals1 if not field.exceeds(m1, v))
     br2 = sum(1 for v in vals2 if not field.exceeds(m2, v))

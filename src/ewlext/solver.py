@@ -19,12 +19,15 @@ A-E, and every criterion hit outside those families violates at least one.
 Hits outside the named families are reported as UNCLASSIFIED, not dropped.
 On the default pi/4 lattice two such groups exist and are genuine:
 
-- mixed-grid tuples, with one of (alpha1, beta1) on the half-pi grid and the
-  other on the odd-quarter grid and (alpha2, beta2) = (-beta1, pi - alpha1)
-  up to a joint pi-shift, so U2 = +-phi(U1), at every interior theta1
-  (64 per slice).  S is then closed under phi up to a global sign, which
-  makes the extension invariant for any U1; the witness relabeling is the
-  one the named families use, I <-> iX and U1 <-> U2.
+- mixed-grid tuples, at every interior theta1: the tuples with U2 =
+  +-phi(U1), that is (alpha2, beta2) = (-beta1, pi - alpha1) up to a joint
+  pi-shift, that no family rule labels.  An n-point phase lattice has 2 n^2
+  such tuples per slice, 64 of them in the families C, D and E, so 64 are
+  mixed-grid on the pi/4 lattice and 448 on pi/8.  (On pi/4 one of alpha1,
+  beta1 lies on the half-pi grid and the other on the odd-quarter grid.)
+  S is then closed under phi up to a global sign, which makes the
+  extension invariant for any U1; the witness relabeling is the one the
+  named families use, I <-> iX and U1 <-> U2.
 - at theta1 = pi/2 only, the split-grid products {0,pi}^2 x {pi/2,3pi/2}^2
   and its mirror image (32 tuples).  Their witness relabeling is I <-> iX
   with each U_k mapped to its own class.
@@ -298,10 +301,6 @@ class RelationReport:
     satisfied: bool
     lhs: float
     rhs: float
-
-    def to_json(self) -> dict:
-        return {"name": self.name, "satisfied": self.satisfied,
-                "lhs": self.lhs, "rhs": self.rhs}
 
 
 def check_relations(theta1, alpha1, beta1, alpha2, beta2) -> List[RelationReport]:

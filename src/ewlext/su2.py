@@ -30,13 +30,6 @@ class StrategyParams:
     alpha: Angle
     beta: Angle
 
-    @property
-    def is_exact(self) -> bool:
-        return self.theta.is_exact and self.alpha.is_exact and self.beta.is_exact
-
-    def key(self):
-        return (self.theta.value, self.alpha.value, self.beta.value)
-
     def to_json(self) -> dict:
         return {
             "theta": self.theta.format(),

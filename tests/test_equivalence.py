@@ -15,7 +15,7 @@ from ewlext import (
     partition,
     payoff_closed_form,
 )
-from ewlext.equivalence import EXACT, Field
+from ewlext.equivalence import EXACT, FLOAT_TOL, Field
 from ewlext.exactnum import Q2
 from conftest import random_exact_pair, random_float_game, random_lattice_params
 
@@ -52,24 +52,20 @@ def test_relation_properties(rng):
 def test_partition_diagonal_strategy_is_own_class():
     # diag(i, -i) acts like the identity only against diagonal opponents
     sz = canonicalize(0, "1/2 pi", 0)
-    part = partition([IDENTITY, IX, sz])
-    assert part.classes == ((0,), (1,), (2,))
+    assert partition([IDENTITY, IX, sz]) == ((0,), (1,), (2,))
 
 
 def test_partition_global_phase_one_class():
     minus_i = canonicalize(0, 1, 0)  # U(0, pi, .) = -I
-    part = partition([IDENTITY, minus_i])
-    assert part.classes == ((0, 1),)
+    assert partition([IDENTITY, minus_i]) == ((0, 1),)
 
 
 def test_partition_classical_pair():
-    part = partition([IDENTITY, IX])
-    assert part.classes == ((0,), (1,))
+    assert partition([IDENTITY, IX]) == ((0,), (1,))
 
 
 def test_partition_example3_merges_u1_u2():
-    part = partition([IDENTITY, IX, U1_EX3, U2_EX3])
-    assert part.classes == ((0,), (1,), (2, 3))
+    assert partition([IDENTITY, IX, U1_EX3, U2_EX3]) == ((0,), (1,), (2, 3))
 
 
 def test_equivalence_is_game_independent(rng):
@@ -127,19 +123,19 @@ def test_sampled_opponents_distinguish_finite_set_equivalence():
     # a global-sign pair stays equivalent against sampled opponents
     p = canonicalize("1/3 pi", 0, "1/4 pi")
     q = canonicalize("1/3 pi", 1, "5/4 pi")
-    assert are_equivalent(p, q, sampled, mode="float", tol=1e-10)
+    assert are_equivalent(p, q, sampled, mode="float")
     # a pair equivalent only relative to its own strategy set does not
     u1 = canonicalize("1/3 pi", "1/4 pi", "1/4 pi")
     u2 = canonicalize("2/3 pi", "3/4 pi", "3/4 pi")
     own_set = [IDENTITY, IX, u1, u2]
     assert are_equivalent(phi(u1), u2, own_set)
-    assert not are_equivalent(phi(u1), u2, sampled, mode="float", tol=1e-10)
+    assert not are_equivalent(phi(u1), u2, sampled, mode="float")
 
 
 def test_field_comparison_rules():
     exact, approx = EXACT, Field(1e-9)
     assert Field.of([Fraction(1, 2), Q2(0, 1), 3]) is EXACT
-    assert Field.of_values([Fraction(1, 2), 0.5], tol=1e-9) == approx
+    assert Field.of_values([Fraction(1, 2), 0.5]) == Field(FLOAT_TOL)
     with pytest.raises(ExactnessError):
         Field.of([Fraction(1, 2), 0.5], tol=1e-9)
     assert Field.of([Fraction(1, 2)], mode="float", tol=1e-9) == approx

@@ -290,6 +290,26 @@ def test_limit_convergence_within_bounds():
             assert chk.max_abs_diff[1] < chk.max_abs_diff[0]
 
 
+def test_limit_bound_scales_with_the_game_span():
+    # entry and target are convex combinations of the game's entries: a
+    # shift leaves the differences alone, a factor scales them
+    rows = [[(3, 3), (0, 5)], [(5, 0), (1, 1)]]  # PD, span 5
+    scaled = Bimatrix2.from_rows([[(100 * a, 100 * b) for a, b in r] for r in rows])
+    shifted = Bimatrix2.from_rows([[(a + 7, b + 7) for a, b in r] for r in rows])
+    thetas = (1e-1, 1e-2, 1e-3)
+    for name in ("D1", "D2", "E1", "E2"):
+        for direction in ("zero", "pi"):
+            base = limit_check(ClassId(name), direction, PD, thetas=thetas)
+            big = limit_check(ClassId(name), direction, scaled, thetas=thetas)
+            moved = limit_check(ClassId(name), direction, shifted, thetas=thetas)
+            assert big.converged and moved.converged
+            assert big.bounds == pytest.approx([100 * b for b in base.bounds], rel=1e-12)
+            assert moved.bounds == base.bounds
+            assert big.max_abs_diff == pytest.approx(
+                [100 * d for d in base.max_abs_diff], rel=1e-6)
+            assert moved.max_abs_diff == pytest.approx(base.max_abs_diff, rel=1e-6)
+
+
 def test_float_theta_accepted_for_t_classes():
     params = ClassParams.create("C", theta1=1.0471975511965976)  # ~pi/3
     ext = extension_matrix(params, PD)

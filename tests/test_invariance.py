@@ -117,6 +117,21 @@ def test_strongly_isomorphic_detects_difference():
     assert strongly_isomorphic(g1, g2) is None
 
 
+def test_strongly_isomorphic_searches_past_equal_row_and_column_multisets():
+    # Cayley tables of Z4 and Z2 x Z2: every row and column holds {0, 1, 2, 3},
+    # so the multiset pruning passes, but the groups are not isotopic
+    labels = ("a", "b", "c", "d")
+    z4 = ExtendedGame(labels, tuple(tuple(((i + j) % 4, 0) for j in range(4))
+                                    for i in range(4)))
+    klein = ExtendedGame(labels, tuple(tuple((i ^ j, 0) for j in range(4))
+                                       for i in range(4)))
+    assert strongly_isomorphic(z4, klein) is None
+    assert strongly_isomorphic(z4, klein, tol=1e-9) is None
+    rp, cp = strongly_isomorphic(z4, z4)
+    assert all(z4.payoffs[rp[i]][cp[j]] == z4.payoffs[i][j]
+               for i in range(4) for j in range(4))
+
+
 def test_strongly_isomorphic_dimension_mismatch():
     g1 = build_extended_game(PD, [IDENTITY, IX])
     g2 = build_extended_game(PD, B_SET)

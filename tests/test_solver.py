@@ -507,6 +507,18 @@ def test_check_relations_boundary_degenerates():
     assert not all(r.satisfied for r in rels)
 
 
+def test_boundary_relations_hold_exactly_on_the_criterion_hits():
+    # theta1 = 0 chains alpha1 and beta2, theta1 = pi alpha2 and beta1
+    points = [Fraction(k, 4) for k in range(8)]
+    for theta in ("0", "pi"):
+        hits = {(s.alpha1, s.beta1, s.alpha2, s.beta2)
+                for s in search_solutions(LatticeSpec.create([theta])).solutions}
+        holds = {t for t in product(points, repeat=4)
+                 if all(r.satisfied for r in check_relations(theta, *t))}
+        assert len(hits) == 1024
+        assert holds == hits
+
+
 def test_csv_output_shape(result_third_pi):
     csv = result_third_pi.to_csv()
     lines = csv.strip().splitlines()

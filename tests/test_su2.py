@@ -97,7 +97,7 @@ def test_phi_involution_up_to_equivalence(rng):
     for _ in range(40):
         p = random_float_params(rng)
         pp = phi(phi(p))
-        assert are_equivalent(pp, p, opponents + [p, pp], mode="float", tol=1e-10)
+        assert are_equivalent(pp, p, opponents + [p, pp], mode="float")
 
 
 def test_params_json_round_trip(rng):
