@@ -5,9 +5,13 @@ indifference equations by fraction-free elimination (`solve_linear`), then
 keep solutions that are feasible and undominated off support.  An exact
 game is scaled once to integers (`int`, or a `Q2` with d = 1 for sqrt(2)
 parts); both tests are decided on integer numerators, and only the pairs
-that pass are divided out.  A pair with a strategy conditionally dominated on
-the opponent's support is skipped unsolved (Porter, Nudelman and Shoham,
-GEB 63, 2008): on 4x4 extensions a quarter of the systems remain to solve.
+that pass are divided out.  Elimination runs on ints, or for a system with
+a sqrt(2) part on pairs of int lists, so no `Q2` is built inside the loop.
+Each distinct indifference system is solved once per call (memoised on its
+rows' payoff ids), and its off-support test, divided profile and dedupe key
+are worked out once.  A pair with a strategy conditionally dominated on the
+opponent's support is skipped unsolved (Porter, Nudelman and Shoham, GEB 63,
+2008): on 4x4 extensions a quarter of the systems remain to solve.
 """
 
 from __future__ import annotations
@@ -18,8 +22,8 @@ from itertools import combinations
 from typing import List, Optional, Sequence, Tuple
 
 from .errors import DimensionMismatchError
-from .exactnum import (EXACT, Q2, Field, _parts, denominators_lcm, from_parts, integral,
-                       normalize)
+from .exactnum import (EXACT, Q2, Field, _make, _parts, _sign, denominators_lcm, from_parts,
+                       integral, normalize)
 from .invariance import ExtendedGame
 from .payoff import PayoffPair, format_scalar
 
@@ -36,23 +40,42 @@ def solve_linear(a_rows: List[List], rhs: List, field: Field):
 
     After k pivots every entry is a (k+1)-minor of [A | b], so each division
     by the previous pivot is exact, and every pivot row ends with the last
-    pivot d on its diagonal: x = numerator / d.  The field's pivot rule and
-    zero test apply to entry / d.  Exact rows are scaled to integers (int or
-    Q2 with d = 1) first; float rows run the same steps in floats.
+    pivot d on its diagonal: x = numerator / d.  Float rows run these steps in
+    floats, the field's pivot rule and zero test applying to entry / d.
+    Exact rows are scaled to integers first: rational ones run on ints, ones
+    with a sqrt(2) part on int pairs (see _eliminate_pairs).
 
     Returns (status, x): status 'unique', 'many' (x is the particular
     solution with free variables zero) or 'none' (x is None).  Fraction, Q2
     or float entries give x in that field; integer entries (int, Q2 with
-    d = 1) give x = (numerators, d) with d > 0, so a caller can decide signs
-    on integers and divide only the solutions it keeps.
+    d = 1) give x = (numerators, d) with d > 0, each an int or, when it has
+    a sqrt(2) part, a Q2 with d = 1, so a caller can decide signs on
+    integers and divide only the solutions it keeps.
     """
     rows = [list(r) + [v] for r, v in zip(a_rows, rhs)]
+    n = len(rows[0]) - 1
     in_ring = field.exact and all(isinstance(v, int) or isinstance(v, Q2) and v.d == 1
                                   for row in rows for v in row)
     if field.exact and not in_ring:
         rows = [integral(row, denominators_lcm(row)) for row in rows]
+    if field.exact and any(isinstance(v, Q2) and v.q for row in rows for v in row):
+        parts = [[_parts(v) for v in row] for row in rows]
+        status, nums, d = _eliminate_pairs([[p for p, _, _ in row] for row in parts],
+                                           [[q for _, q, _ in row] for row in parts], n)
+    else:
+        status, nums, d = _eliminate(rows, n, field)
+    if status == "none":
+        return "none", None
+    if in_ring:
+        return status, (nums, d)
+    return status, [_value(v, d, field) for v in nums]
+
+
+def _eliminate(rows, n, field):
+    """Bareiss steps on rows of [A | b], ints in the exact field or floats:
+    (status, numerators, d) with d > 0, numerators None for 'none'."""
     divide = operator.floordiv if field.exact else operator.truediv
-    m, n = len(rows), len(rows[0]) - 1
+    m = len(rows)
     d = 1
     pivots = []
     r = 0
@@ -76,16 +99,85 @@ def solve_linear(a_rows: List[List], rhs: List, field: Field):
         pivots.append(c)
         r += 1
     if any(not field.is_zero(rows[i][n], d) for i in range(r, m)):
-        return "none", None
+        return "none", None, d
     nums = [0] * n
     for k, c in enumerate(pivots):
         nums[c] = rows[k][n]
     if d < 0:
         nums, d = [-v for v in nums], -d
-    status = "unique" if len(pivots) == n else "many"
-    if in_ring:
-        return status, (nums, d)
-    return status, [_value(v, d, field) for v in nums]
+    return ("unique" if len(pivots) == n else "many"), nums, d
+
+
+def _eliminate_pairs(ps, qs, n):
+    """_eliminate in Z[sqrt(2)], row i held as its rational parts ps[i] and
+    sqrt(2) parts qs[i] (int lists).
+
+    A step maps x to (p x - f y) / d for pivot p, factor f and previous
+    pivot d.  For d = a + b sqrt(2) with b != 0 that is (P x - F y) / N with
+    P = p conj(d), F = f conj(d) and N = a^2 - 2 b^2; for rational d, P = p,
+    F = f and N = d.  Both parts must divide by N, else ArithmeticError.
+    Q2 objects are built only for the returned numerators and d.
+    """
+    m = len(ps)
+    da, db = 1, 0
+    pivots = []
+    r = 0
+    for c in range(n):
+        if r == m:
+            break
+        piv = next((i for i in range(r, m) if ps[i][c] or qs[i][c]), None)
+        if piv is None:
+            continue
+        ps[r], ps[piv], qs[r], qs[piv] = ps[piv], ps[r], qs[piv], qs[r]
+        tp, tq = ps[r], qs[r]
+        pa, pb = tp[c], tq[c]
+        aa, ab = _times_conjugate(pa, pb, da, db)
+        ab2 = 2 * ab
+        norm = da * da - 2 * db * db if db else da
+        for i in range(m):
+            if i == r:
+                continue
+            xp, xq = ps[i], qs[i]
+            fa, fb = _times_conjugate(xp[c], xq[c], da, db)
+            fb2 = 2 * fb
+            new_p = [aa * x + ab2 * y - fa * u - fb2 * w
+                     for x, y, u, w in zip(xp, xq, tp, tq)]
+            new_q = [aa * y + ab * x - fa * w - fb * u
+                     for x, y, u, w in zip(xp, xq, tp, tq)]
+            if norm != 1:
+                new_p, new_q = _exact_quotients(new_p, norm), _exact_quotients(new_q, norm)
+            ps[i], qs[i] = new_p, new_q
+        da, db = pa, pb
+        pivots.append(c)
+        r += 1
+    if any(ps[i][n] or qs[i][n] for i in range(r, m)):
+        return "none", None, None
+    sign = _sign(da, db)
+    nums = [0] * n
+    for k, c in enumerate(pivots):
+        nums[c] = _ring(sign * ps[k][n], sign * qs[k][n])
+    return ("unique" if len(pivots) == n else "many"), nums, _ring(sign * da, sign * db)
+
+
+def _times_conjugate(a, b, da, db):
+    """(a + b sqrt(2)) times the conjugate da - db sqrt(2)."""
+    return (a * da - 2 * b * db, b * da - a * db) if db else (a, b)
+
+
+def _exact_quotients(values, k):
+    """values // k, ArithmeticError unless k divides each one."""
+    out = []
+    for v in values:
+        x, rest = divmod(v, k)
+        if rest:
+            raise ArithmeticError(f"{v} is not divisible by {k}")
+        out.append(x)
+    return out
+
+
+def _ring(p, q):
+    """p + q sqrt(2): an int when q = 0, else a Q2 with d = 1."""
+    return _make(p, q, 1) if q else p
 
 
 # -- report types ----------------------------------------------------------------
@@ -217,6 +309,16 @@ def mixed_equilibria(g: ExtendedGame, mode: str = "exact") -> EquilibriumReport:
     over C gives u1[r'].q > u1[r].q, so if r' is in R the indifference system
     has no feasible solution, and if not, the best-response test rejects the
     pair.  The report is the same (in floats, up to rounding at DEVIATION_TOL).
+
+    Each distinct indifference system is solved once per call: systems are
+    keyed by side, support and their equation rows, each row the ids of its
+    payoffs.  An exact key holds the set of rows, since the solution depends
+    on that set only (pivot columns are where the rank rises, free variables
+    are 0, and two row orders' numerators and d differ by a positive factor,
+    which moves no sign test and no divided value); a float key holds the
+    rows in order, so a hit repeats bit-identical arithmetic.  A solution's
+    off-support best replies, its divided profile and its dedupe key are
+    also worked out once.
     """
     n = g.n
     if n > 6:
@@ -233,73 +335,126 @@ def mixed_equilibria(g: ExtendedGame, mode: str = "exact") -> EquilibriumReport:
     if linear.exact:
         scale = denominators_lcm(v for grid in (u1, u2) for row in grid for v in row)
         s1, s2 = ([integral(row, scale) for row in grid] for grid in (u1, u2))
-
-    found = {}
-    degenerate = False
-    s2_t = [[s2[i][j] for i in range(n)] for j in range(n)]
+    s2_t = [list(col) for col in zip(*s2)]
+    grids = (s1, s2_t)  # rows: the optimizing player's strategies
     all_supports = [
         s for size in range(1, n + 1) for s in combinations(range(n), size)
     ]
-    beaten1, beaten2 = ({s: _dominated(grid, s, field) for s in all_supports}
-                        for grid in (s1, s2_t))
+    # per grid and support, each row's payoff ids on the support's columns
+    # (float ids tell -0.0 from 0.0, so equal ids mean equal bits)
+    cut = []
+    for grid in grids:
+        ids = EXACT.intern(v if linear.exact else v.hex() for row in grid for v in row)
+        cut.append({s: [tuple(ids[r * n + c] for c in s) for r in range(n)]
+                    for s in all_supports})
+    vectors = [[linear.vector(row) for row in grid] for grid in grids]
+    memo, keys = {}, {}
+
+    def solved(side, support, other):
+        rows = [cut[side][support][r] for r in other]
+        key = (side, support, frozenset(rows) if linear.exact else tuple(rows))
+        if key not in memo:
+            sol, deg = _indifference_solution(grids[side], support, other, linear, field)
+            memo[key] = None if sol is None else _Mix(sol, deg, support, vectors[side],
+                                                      linear, field)
+        return memo[key]
+
+    found = {}
+    degenerate = False
+    beaten1, beaten2 = (
+        {s: _dominated(masks, s) for s in all_supports}
+        for masks in (_beat_masks(grid, field) for grid in grids))
     for rows_supp in all_supports:
         for cols_supp in all_supports:
             if (beaten1[cols_supp].intersection(rows_supp)
                     or beaten2[rows_supp].intersection(cols_supp)):
                 continue
-            # player 2's mix over cols_supp makes rows_supp indifferent
-            q_sol, q_deg = _indifference_solution(s1, cols_supp, rows_supp, linear, field)
-            if q_sol is None:
+            # player 2's mix over cols_supp makes rows_supp indifferent, and
+            # no row off rows_supp does better against it
+            q = solved(0, cols_supp, rows_supp)
+            if q is None or not q.better.issubset(rows_supp):
                 continue
-            # player 1's mix over rows_supp makes cols_supp indifferent
-            p_sol, p_deg = _indifference_solution(s2_t, rows_supp, cols_supp, linear, field)
-            if p_sol is None:
+            # player 1's mix over rows_supp, likewise for the columns
+            p = solved(1, rows_supp, cols_supp)
+            if p is None or not p.better.issubset(cols_supp):
                 continue
-            q_nums, v1, d1 = q_sol
-            p_nums, v2, d2 = p_sol
-            q_nums, p_nums = _spread(q_nums, cols_supp, n), _spread(p_nums, rows_supp, n)
-            # decided on the numerators over d1, d2 > 0, before any division
-            if not _best_response_ok(s1, s2, p_nums, q_nums, v1, v2,
-                                     rows_supp, cols_supp, field):
-                continue
-            q_full = [_value(x, d1, field) for x in q_nums]
-            p_full = [_value(x, d2, field) for x in p_nums]
-            v1, v2 = _value(v1, d1 * scale, field), _value(v2, d2 * scale, field)
+            q_full, v1, q_key, q_nonzero, q_spans = q.divided(scale, linear, field, keys)
+            p_full, v2, p_key, p_nonzero, p_spans = p.divided(scale, linear, field, keys)
             # An underdetermined system that nevertheless produced an
             # equilibrium with full support on the candidate sets evidences
             # a solution family: keep the sample, do not enumerate.
-            if (q_deg or p_deg) and all(
-                not linear.is_zero(q_full[c]) for c in cols_supp
-            ) and all(not linear.is_zero(p_full[r]) for r in rows_supp):
+            if (q.degenerate or p.degenerate) and q_spans and p_spans:
                 degenerate = True
-            key = tuple(map(field.key, p_full + q_full))
-            if key not in found:
-                supports = (
-                    tuple(i for i in range(n) if not linear.is_zero(p_full[i])),
-                    tuple(j for j in range(n) if not linear.is_zero(q_full[j])),
-                )
+            if (p_key, q_key) not in found:
+                supports = (p_nonzero, q_nonzero)
                 kind = "pure" if len(supports[0]) == 1 and len(supports[1]) == 1 else "mixed"
-                found[key] = Equilibrium(
-                    MixedProfile(tuple(p_full), tuple(q_full)),
-                    PayoffPair(v1, v2),
-                    kind,
-                    supports,
-                )
+                eq = Equilibrium(MixedProfile(p_full, q_full), PayoffPair(v1, v2),
+                                 kind, supports)
+                found[p_key, q_key] = eq
+                degenerate = degenerate or _excess_best_responses(eq, p, q)
     ordered = sorted(
         found.values(),
         key=lambda e: (e.supports, tuple(float(v) for v in e.profile.p1),
                        tuple(float(v) for v in e.profile.p2)),
     )
-    degenerate = degenerate or any(
-        _excess_best_responses(g, e, field) for e in ordered
-    )
     return EquilibriumReport(tuple(ordered), degenerate)
 
 
-def _dominated(values, support, field) -> frozenset:
-    """Rows of values that another row beats on every column in support."""
-    return frozenset(r for r, row in enumerate(values) if any(
-        all(field.exceeds(other[c], row[c]) for c in support) for other in values))
+class _Mix:
+    """A feasible solution of one indifference system: the mixing player's
+    numerators over n strategies, the value v over d > 0, and the facts
+    every support pair posing that system reads.
+
+    `better` holds the optimizing player's strategies that beat v against
+    the mix; `best` counts their pure best responses to it.  Both come from
+    the scaled grid's rows (`vectors`), summed as best_response_values sums.
+    """
+
+    def __init__(self, sol, degenerate, support, vectors, linear, field):
+        nums, self.v, self.d = sol
+        self.nums = _spread(nums, support, len(vectors))
+        self.support, self.degenerate = support, degenerate
+        pays = _payoffs(vectors, self.nums, linear)
+        self.better = frozenset(i for i, x in enumerate(pays) if field.exceeds(x, self.v))
+        top = max(pays)
+        self.best = sum(1 for x in pays if not field.exceeds(top, x))
+        self._divided = None
+
+    def divided(self, scale, linear, field, keys):
+        """(profile, value, dedupe id, nonzero strategies, whether the
+        support is all nonzero), divided out on first use; `keys` interns
+        the profiles' Field.key tuples."""
+        if self._divided is None:
+            full = tuple(_value(x, self.d, field) for x in self.nums)
+            nonzero = tuple(i for i, x in enumerate(full) if not linear.is_zero(x))
+            self._divided = (full, _value(self.v, self.d * scale, field),
+                             keys.setdefault(tuple(map(field.key, full)), len(keys)),
+                             nonzero, set(self.support).issubset(nonzero))
+        return self._divided
+
+
+def _payoffs(vectors, mix, linear):
+    """Each grid row (as Field.vector gives it) times the mix: floats summed
+    as best_response_values sums them; exact ones, on int numerators, as an
+    int or a Q2 with d = 1."""
+    mix = linear.vector(mix)
+    if not linear.exact:
+        return [linear.dot(row, mix) for row in vectors]
+    (mp, mq, _), mul = mix, operator.mul
+    return [_ring(sum(map(mul, rp, mp)) + 2 * sum(map(mul, rq, mq)),
+                  sum(map(mul, rp, mq)) + sum(map(mul, rq, mp))) for rp, rq, _ in vectors]
+
+
+def _beat_masks(values, field):
+    """masks[r][o]: bitmask of the columns on which row o beats row r."""
+    return [[sum(1 << c for c, (x, y) in enumerate(zip(other, row)) if field.exceeds(x, y))
+             for other in values] for row in values]
+
+
+def _dominated(masks, support) -> frozenset:
+    """Rows that another row beats on every column in support."""
+    want = sum(1 << c for c in support)
+    return frozenset(r for r, row in enumerate(masks) if any(m & want == want for m in row))
 
 
 def _spread(values, support, n):
@@ -321,28 +476,10 @@ def _value(num, d, field):
     return normalize(Q2.coerce(num) / d)
 
 
-def _excess_best_responses(g: ExtendedGame, eq: "Equilibrium", field) -> bool:
+def _excess_best_responses(eq: Equilibrium, p: _Mix, q: _Mix) -> bool:
     """Degeneracy test: a mix with more pure best responses than its
     opponent's support size signals an equilibrium family."""
-    vals1 = best_response_values(g, eq.profile.p2, side="row")
-    vals2 = best_response_values(g, eq.profile.p1, side="col")
-    m1, m2 = max(vals1), max(vals2)
-    br1 = sum(1 for v in vals1 if not field.exceeds(m1, v))
-    br2 = sum(1 for v in vals2 if not field.exceeds(m2, v))
-    return br1 > len(eq.supports[1]) or br2 > len(eq.supports[0])
-
-
-def _best_response_ok(u1, u2, p_full, q_full, v1, v2, rows_supp, cols_supp, field):
-    n = len(p_full)
-    for r in range(n):
-        if r not in rows_supp and field.exceeds(
-                sum(u1[r][j] * q_full[j] for j in range(n)), v1):
-            return False
-    for c in range(n):
-        if c not in cols_supp and field.exceeds(
-                sum(u2[i][c] * p_full[i] for i in range(n)), v2):
-            return False
-    return True
+    return q.best > len(eq.supports[1]) or p.best > len(eq.supports[0])
 
 
 def verify_equilibrium(g: ExtendedGame, eq: Equilibrium) -> bool:

@@ -74,6 +74,36 @@ def random_exact_pair(rng):
     return tuple(out)
 
 
+def gauss_jordan_reference(a_rows, rhs, field):
+    """Gauss-Jordan in field arithmetic (Fraction, Q2 or float), pivot rows
+    scaled to 1: the elimination solve_linear replaced, kept as its reference."""
+    m, n = len(a_rows), len(a_rows[0])
+    rows = [list(r) + [v] for r, v in zip(a_rows, rhs)]
+    pivots = []
+    r = 0
+    for c in range(n):
+        if r == m:
+            break
+        piv = field.pivot([rows[i][c] for i in range(r, m)])
+        if piv is None:
+            continue
+        rows[r], rows[r + piv] = rows[r + piv], rows[r]
+        scale = rows[r][c]
+        rows[r] = [x / scale for x in rows[r]]
+        for i in range(m):
+            if i != r and not field.is_zero(rows[i][c]):
+                f = rows[i][c]
+                rows[i] = [x - f * y for x, y in zip(rows[i], rows[r])]
+        pivots.append(c)
+        r += 1
+    if any(not field.is_zero(rows[i][n]) for i in range(r, m)):
+        return "none", None
+    x = [field.convert(0)] * n
+    for k, c in enumerate(pivots):
+        x[c] = rows[k][n]
+    return ("unique" if len(pivots) == n else "many"), x
+
+
 @pytest.fixture
 def rng():
     return random.Random(20240817)

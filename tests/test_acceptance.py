@@ -46,6 +46,7 @@ from ewlext import (
 )
 from ewlext.cli import main
 from ewlext.extensions import ClassId
+from ewlext.payoff import coefficient_grid
 from ewlext.solver import UNCLASSIFIED
 from conftest import random_exact_pair, random_float_game, random_float_params
 
@@ -97,14 +98,15 @@ def coefficient_witness_holds(strategies, swap):
     and permuting outcomes as v does maps every coefficient vector
     c(s_i, s_j) onto itself, so the payoffs of both players agree in any
     game."""
+    grid = coefficient_grid(strategies, mode="exact")
     for v in (IsoVariant.GAMMA1, IsoVariant.GAMMA2, IsoVariant.GAMMA3):
         perm = outcome_permutation(v)
         rp = swap if v in (IsoVariant.GAMMA1, IsoVariant.GAMMA3) else NO_SWAP
         cp = swap if v in (IsoVariant.GAMMA2, IsoVariant.GAMMA3) else NO_SWAP
-        for i, si in enumerate(strategies):
-            for j, sj in enumerate(strategies):
-                c = coefficients(strategies[rp[i]], strategies[cp[j]], mode="exact")
-                if tuple(c[k] for k in perm) != coefficients(si, sj, mode="exact"):
+        for i, row in enumerate(grid):
+            for j, c in enumerate(row):
+                swapped = grid[rp[i]][cp[j]]
+                if tuple(swapped[k] for k in perm) != c:
                     return False
     return True
 
@@ -343,3 +345,29 @@ def test_criterion_9_example3_regression():
                 pay_u1 = payoff_closed_form(game, u1, s)
                 pay_u2 = payoff_closed_form(game, u2, s)
                 assert pay_u1.u1 == pay_u2.u1 == want[j]
+
+
+def test_families_c_d_e_hold_for_every_theta1():
+    """Families C, D and E are invariant for every theta1, not only on the
+    lattice.  Fix a tuple's phases.  theta1 enters the closed form only
+    through payoff._theta_weights: products (1 +- cos t1)(1 +- cos t2)/4 and
+    sin t1 sin t2 / 2, each t being theta1, pi - theta1 or a constant.  So
+    every coefficient of every pair of {I, iX, U1(theta1), U2(pi - theta1)}
+    is a real trigonometric polynomial of degree at most 2 in theta1, and so
+    is the difference of the two sides of the family witness (I <-> iX,
+    U1 <-> U2).  A nonzero one has at most 4 zeros in a period: vanishing at
+    5 distinct theta1, it vanishes for all.  The five are the theta1 in
+    (0, pi) whose cosine lies in Q(sqrt(2)), pi/4, pi/3, pi/2, 2pi/3 and
+    3pi/4, where the witness is checked exactly for all 128 tuples."""
+    tuples = [t for name in "CDE" for t in enumerate_discrete_solutions(name)]
+    assert len(tuples) == 128
+    for theta1 in (F(1, 4), F(1, 3), F(1, 2), F(2, 3), F(3, 4)):
+        for a1, b1, a2, b2 in tuples:
+            strategies = [IDENTITY, IX, canonicalize(theta1, a1, b1),
+                          canonicalize(1 - theta1, a2, b2)]
+            assert coefficient_witness_holds(strategies, FAMILY_WITNESS), (theta1, a1, b1)
+        # control: shifting alpha2 by pi/4 breaks the witness
+        a1, b1, a2, b2 = tuples[0]
+        assert not coefficient_witness_holds(
+            [IDENTITY, IX, canonicalize(theta1, a1, b1),
+             canonicalize(1 - theta1, a2 + F(1, 4), b2)], FAMILY_WITNESS)

@@ -1,4 +1,5 @@
 from fractions import Fraction
+from itertools import combinations
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -6,9 +7,13 @@ from hypothesis import given, settings, strategies as st
 from ewlext import (
     Bimatrix2,
     ClassParams,
+    Equilibrium,
+    EquilibriumReport,
     ExtendedGame,
     IsoVariant,
+    MixedProfile,
     PRISONERS_DILEMMA,
+    PayoffPair,
     Q2,
     best_response_values,
     extension_matrix,
@@ -20,8 +25,8 @@ from ewlext import (
 from ewlext import nash
 from ewlext.equivalence import EXACT, Field
 from ewlext.exactnum import normalize
-from ewlext.nash import PIVOT_TOL, solve_linear
-from conftest import random_rational_game
+from ewlext.nash import DEVIATION_TOL, PIVOT_TOL, SUM_TOL, solve_linear
+from conftest import gauss_jordan_reference, random_rational_game
 
 PD = PRISONERS_DILEMMA
 F = Fraction
@@ -58,6 +63,43 @@ def test_solve_linear_float_pivoting():
     assert status == "unique"
     assert x[0] == pytest.approx(1.0, abs=1e-9)
     assert x[1] == pytest.approx(1.0, abs=1e-9)
+
+
+R2 = Q2(0, 1)  # sqrt(2)
+
+
+def ring_solve(a_rows, rhs):
+    """solve_linear on Z[sqrt(2)] entries: checks that each numerator and d
+    is an int or, with a sqrt(2) part, a Q2 with d = 1, that d > 0 and that
+    x solves the system; returns (status, x)."""
+    status, x = solve_linear(a_rows, rhs, EXACT)
+    if x is None:
+        return status, None
+    nums, d = x
+    for v in [*nums, d]:
+        assert type(v) is int or type(v) is Q2 and v.d == 1 and v.q != 0, repr(v)
+    assert d > 0
+    x = [Q2.coerce(v) / d for v in nums]
+    assert all(sum(a * v for a, v in zip(row, x)) == b for row, b in zip(a_rows, rhs))
+    return status, x
+
+
+def test_solve_linear_z_sqrt2_unique_through_a_non_unit_pivot():
+    # the first pivot 2 + sqrt(2) has norm 2, so the second step divides by
+    # it through its conjugate and norm; d ends as det A = 1 + 2 sqrt(2)
+    a_rows, rhs = [[2 + R2, 1], [1, R2]], [3, 1 + R2]
+    status, x = ring_solve(a_rows, rhs)
+    assert status == "unique"
+    assert solve_linear(a_rows, rhs, EXACT)[1][1] == 1 + 2 * R2
+    assert x == [Q2(F(9, 7), F(-4, 7)), Q2(F(11, 7), F(-1, 7))]
+
+
+def test_solve_linear_z_sqrt2_many_and_none():
+    status, x = ring_solve([[2 + R2, 1, R2], [1, R2, 1]], [1, 0])
+    assert status == "many" and x[2] == 0  # the free variable pinned to zero
+    # the second row is sqrt(2) times the first on A but not on b
+    assert ring_solve([[2 + R2, 1], [2 + 2 * R2, R2]], [1, 1]) == ("none", None)
+    assert ring_solve([[2 + R2, 1], [2 + 2 * R2, R2]], [1, R2])[0] == "many"
 
 
 def test_pure_equilibria_classical_pd():
@@ -280,3 +322,120 @@ def test_dominance_pruning_solves_fewer_systems(monkeypatch):
     pruned = len(calls)
     assert unpruned(ext) == report
     assert 0 < 3 * pruned < len(calls) - pruned
+
+
+def reference_equilibria(game, mode="exact"):
+    """mixed_equilibria written plainly, as its reference: every support
+    pair solved by gauss_jordan_reference in field arithmetic (Fraction, Q2
+    or float), with no memo, no dominance pruning and no integer rows, and
+    judged by the same feasibility, deviation and degeneracy rules, dedupe
+    key and order."""
+    exact = mode == "exact"
+    linear = EXACT if exact else Field(PIVOT_TOL)
+    field = EXACT if exact else Field(DEVIATION_TOL)
+    n = game.n
+    u1 = [[linear.convert(c.u1) for c in row] for row in game.payoffs]
+    u2_t = [[linear.convert(row[j].u2) for row in game.payoffs] for j in range(n)]
+
+    def indifferent(values, support, other):
+        """(opponent mix over all n, value, singular) making every strategy
+        in `other` indifferent, or None when infeasible."""
+        zero, one = linear.convert(0), linear.convert(1)
+        a_rows = [[values[r][c] for c in support] + [-one] for r in other]
+        a_rows.append([one] * len(support) + [zero])
+        status, x = gauss_jordan_reference(a_rows, [zero] * len(other) + [one], linear)
+        if status == "none" or any(field.exceeds(0, p) for p in x[:-1]):
+            return None
+        probs = [normalize(p) for p in x[:-1]]
+        if not exact:
+            probs = [max(p, 0.0) for p in probs]
+            total = sum(probs)
+            if abs(total - 1.0) > SUM_TOL:
+                return None
+            probs = [p / total for p in probs]
+        mix = [zero] * n
+        for i, p in zip(support, probs):
+            mix[i] = p
+        return mix, normalize(x[-1]), status == "many"
+
+    def pays(values, mix):
+        return [sum(a * b for a, b in zip(row, mix)) for row in values]
+
+    found = {}
+    degenerate = False
+    supports = [s for k in range(1, n + 1) for s in combinations(range(n), k)]
+    for rows_supp in supports:
+        for cols_supp in supports:
+            q = indifferent(u1, cols_supp, rows_supp)
+            p = indifferent(u2_t, rows_supp, cols_supp)
+            if q is None or p is None:
+                continue
+            (q_mix, v1, q_many), (p_mix, v2, p_many) = q, p
+            pays1, pays2 = pays(u1, q_mix), pays(u2_t, p_mix)
+            if (any(field.exceeds(pays1[r], v1) for r in range(n) if r not in rows_supp)
+                    or any(field.exceeds(pays2[c], v2) for c in range(n) if c not in cols_supp)):
+                continue
+            if (q_many or p_many) and not any(
+                    linear.is_zero(q_mix[c]) for c in cols_supp) and not any(
+                    linear.is_zero(p_mix[r]) for r in rows_supp):
+                degenerate = True
+            key = tuple(map(field.key, p_mix + q_mix))
+            if key not in found:
+                supp = tuple(tuple(i for i, x in enumerate(mix) if not linear.is_zero(x))
+                             for mix in (p_mix, q_mix))
+                kind = "pure" if len(supp[0]) == len(supp[1]) == 1 else "mixed"
+                eq = Equilibrium(MixedProfile(tuple(p_mix), tuple(q_mix)),
+                                 PayoffPair(v1, v2), kind, supp)
+                found[key] = eq, pays1, pays2
+    ordered = sorted(found.values(), key=lambda e: (
+        e[0].supports, [float(v) for v in e[0].profile.p1], [float(v) for v in e[0].profile.p2]))
+    for eq, pays1, pays2 in ordered:
+        best1 = sum(not field.exceeds(max(pays1), x) for x in pays1)
+        best2 = sum(not field.exceeds(max(pays2), x) for x in pays2)
+        degenerate |= best1 > len(eq.supports[1]) or best2 > len(eq.supports[0])
+    return EquilibriumReport(tuple(eq for eq, *_ in ordered), degenerate)
+
+
+def assert_matches_reference(game, mode):
+    """Exact reports equal the reference's.  Float ones agree up to rounding:
+    the same flag and, once sorted by values rounded to 1e-6 (rounding alone
+    can reorder two equilibria of one support pair), the same kinds and
+    supports, with values within 1e-9."""
+    got, want = mixed_equilibria(game, mode=mode), reference_equilibria(game, mode)
+    if mode == "exact":
+        assert got == want
+        return
+    assert got.degenerate == want.degenerate
+    assert len(got.equilibria) == len(want.equilibria)
+
+    def values(e):
+        return e.profile.p1 + e.profile.p2 + tuple(e.payoff)
+
+    def rounded(report):
+        return sorted(report.equilibria, key=lambda e: (
+            e.supports, [round(v, 6) for v in values(e)]))
+
+    for e, f in zip(rounded(got), rounded(want)):
+        assert (e.kind, e.supports) == (f.kind, f.supports)
+        assert all(abs(x - y) <= 1e-9 for x, y in zip(values(e), values(f)))
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(small_games())
+def test_mixed_equilibria_match_the_reference_enumeration(game):
+    floats = any(isinstance(v, float) for row in game.payoffs for p in row for v in p)
+    assert_matches_reference(game, "float" if floats else "exact")
+
+
+MATCHING_PENNIES = Bimatrix2.from_rows([[(1, -1), (-1, 1)], [(-1, 1), (1, -1)]])
+
+
+@pytest.mark.parametrize("theta1", ["1/4 pi", "3/4 pi"])
+@pytest.mark.parametrize("cls", ["D1", "D2", "E1", "E2"])
+@pytest.mark.parametrize("game", [PD, MATCHING_PENNIES], ids=["PD", "pennies"])
+def test_q_sqrt2_extensions_match_the_reference_enumeration(game, cls, theta1):
+    ext = extension_matrix(ClassParams.create(cls, theta1=theta1), game)
+    assert any(isinstance(v, Q2) for row in ext.payoffs for p in row for v in p)
+    assert_matches_reference(ext, "exact")
+    if game is MATCHING_PENNIES:
+        assert mixed_equilibria(ext).degenerate
