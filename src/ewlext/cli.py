@@ -13,8 +13,9 @@ import sys
 from typing import List, Optional
 
 from .errors import EwlError, ExactnessError
-from .exactnum import MODES, Field
-from .extensions import ClassId, ClassParams, extension_matrix, limit_check, strategy_set
+from .exactnum import MODES, exact_cos
+from .extensions import (ClassId, ClassParams, _blocks, extension_matrix, limit_check,
+                         strategy_set)
 from .invariance import (
     ExtendedGame,
     build_extended_game,
@@ -131,17 +132,14 @@ def _build_extension(args, game: Bimatrix2) -> ExtendedGame:
     if args.set:
         ext = build_extended_game(game, strategies, mode=args.mode)
     else:
-        ext = extension_matrix(_class_params(args), game)
-        try:
-            field = Field.of((v for row in ext.payoffs for cell in row for v in cell),
-                             args.mode)
-        except ExactnessError:
-            raise ExactnessError("the extension leaves Q(sqrt(2)) at these parameters; "
-                                 "pass --mode float") from None
-        ext = ExtendedGame(ext.labels, tuple(
-            tuple(PayoffPair(*map(field.convert, cell)) for cell in row)
-            for row in ext.payoffs
-        ))
+        params = _class_params(args)
+        if args.mode == "exact":  # the block formula's cosines must be exact
+            try:
+                _blocks(params, lambda a: exact_cos(a.frac))
+            except ExactnessError:
+                raise ExactnessError("the extension leaves Q(sqrt(2)) at these parameters; "
+                                     "pass --mode float") from None
+        ext = extension_matrix(params, game)
     if args.oracle_check:
         _oracle_check_extension(game, strategies, ext)
     return ext
@@ -160,6 +158,9 @@ def _extension_csv(ext: ExtendedGame) -> str:
 def cmd_extend(args) -> int:
     game = _load_game(args.game, args.mode)
     ext = _build_extension(args, game)
+    if args.mode == "float":
+        ext = ExtendedGame(ext.labels, tuple(
+            tuple(PayoffPair(*map(float, cell)) for cell in row) for row in ext.payoffs))
     if args.format == "pretty":
         _emit(args, ext.pretty())
     elif args.format == "csv":

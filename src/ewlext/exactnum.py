@@ -5,7 +5,8 @@ rational multiples of pi.  Squared payoff amplitudes built from such angles
 stay inside the quadratic field Q(sqrt(2)), so one exact number type, Q2 =
 (p + q*sqrt(2))/d on ints, is enough to avoid floating point everywhere it
 matters; its d = 1 elements are the ring Z[sqrt(2)] that fraction-free
-elimination runs in.
+elimination runs in.  A float enters exact arithmetic at its binary value
+(exact_value).
 Field decides how two scalars compare, exactly or within a tolerance, and
 sums products of vectors of them (exactly on int numerators).
 """
@@ -227,6 +228,16 @@ def scalar_is_exact(x) -> bool:
     return isinstance(x, (int, Fraction, Q2))
 
 
+def exact_value(x):
+    """x as an exact scalar: a float as the Fraction of its binary value
+    (DomainError if it is not finite); an int, Fraction or Q2 unchanged."""
+    if isinstance(x, float):
+        if not math.isfinite(x):
+            raise DomainError(f"value {x!r} is not finite")
+        return Fraction(x)
+    return x
+
+
 def _sign(a, b) -> int:
     """Sign of a + b*sqrt(2) for rational a, b, decided exactly."""
     if b == 0:
@@ -424,18 +435,20 @@ class Angle:
 ANGLE_PI = Angle.pi_frac(1)
 
 
-def angle_cos(a: Angle) -> Union[Q2, float]:
-    """cos(a): exact in Q(sqrt(2)) when a is an exact angle whose cosine
-    lies there, a float otherwise.  The one place where exact trigonometry
-    falls back to floats value by value: it serves the mode-less family
-    block formulas (extensions.extension_matrix), while every moded function
-    raises ExactnessError in exact mode instead."""
+def angle_cos(a: Angle) -> Union[Q2, Fraction]:
+    """cos(a), exact: in Q(sqrt(2)) when a is an exact angle whose cosine
+    lies there, else the Fraction of the float math.cos gives.  The one
+    place where exact trigonometry falls back to a rounded cosine: it serves
+    the mode-less family block formulas (extensions.extension_matrix), which
+    then carry that cosine's binary value exactly, so identities in it
+    (such as t + (1 - t) = 1 for t = cos^2(theta/2)) hold.  Every moded
+    function raises ExactnessError in exact mode instead."""
     if a.is_exact:
         try:
             return exact_cos(a.value)
         except ExactnessError:
             pass
-    return math.cos(a.to_radians())
+    return Fraction(math.cos(a.to_radians()))
 
 
 # -- comparing scalars, exactly or within a tolerance -------------------------
@@ -459,8 +472,9 @@ class Field:
 
     Every algorithm that compares scalars asks its Field instead of testing
     types or a mode: partition and criterion_holds, strongly_isomorphic, the
-    lattice kernel's interning, the closed-form payoff sum and the
-    equilibrium solver.
+    lattice kernel's interning, the closed-form payoff sum and
+    best_response_values.  The equilibrium solver has no float field: it
+    takes a float entry at its binary value (exact_value).
     """
 
     tol: Optional[float] = None
@@ -484,29 +498,6 @@ class Field:
     @property
     def exact(self) -> bool:
         return self.tol is None
-
-    def convert(self, x):
-        """x in this field: a float in a float field; in the exact field
-        ints become Fractions, so exact results are Fractions."""
-        if not self.exact:
-            return float(x)
-        return Fraction(x) if isinstance(x, int) else x
-
-    def is_zero(self, x, d=1) -> bool:
-        """x / d is zero: exactly, or within tol in a float field."""
-        return x == 0 if self.exact else abs(x) <= self.tol * abs(d)
-
-    def exceeds(self, x, y) -> bool:
-        """x > y, by more than tol in a float field."""
-        return x > y if self.exact else x > y + self.tol
-
-    def pivot(self, values, d=1) -> Optional[int]:
-        """Index of the pivot among values / d, None if all are zero: the
-        first nonzero one when exact, the largest in magnitude otherwise."""
-        if self.exact:
-            return next((i for i, v in enumerate(values) if v != 0), None)
-        best = max(range(len(values)), key=lambda i: abs(values[i]))
-        return None if self.is_zero(values[best], d) else best
 
     def vector(self, xs):
         """xs as dot takes it: floats in a float field; in the exact field
@@ -533,10 +524,6 @@ class Field:
         p = sum(map(mul, xp, yp)) + 2 * sum(map(mul, xq, yq))
         q = sum(map(mul, xp, yq)) + sum(map(mul, xq, yp))
         return from_parts(p, q, dx * dy)
-
-    def key(self, x):
-        """Dedupe key: the value itself, or its index on a grid of step tol."""
-        return x if self.exact else round(float(x) / self.tol)
 
     def intern(self, values) -> List[int]:
         """Integer ids of values: equal ids mean equal values (exact) or

@@ -254,21 +254,22 @@ def strategy_set(p: ClassParams) -> List[StrategyParams]:
     return [IDENTITY, IX, u1, u2]
 
 
-def _blocks(p: ClassParams):
-    """Coefficient 4-vectors (over Gamma^0..Gamma^3) for the four 2x2 blocks."""
+def _blocks(p: ClassParams, cos=angle_cos):
+    """Coefficient 4-vectors (over Gamma^0..Gamma^3) for the four 2x2 blocks,
+    from the cosines `cos` gives of the class's angles."""
     cid = p.class_id
     one, zero = Fraction(1), Fraction(0)
     e = (one, zero, zero, zero)
     if cid in (ClassId.A1, ClassId.A2):
         phase = p.alpha1 if cid is ClassId.A1 else p.alpha2
-        a = normalize((1 + angle_cos(2 * phase)) * _HALF)  # cos^2
-        b = normalize((1 + angle_cos(4 * phase)) * _HALF)  # doubled angle
+        a = normalize((1 + cos(2 * phase)) * _HALF)  # cos^2
+        b = normalize((1 + cos(4 * phase)) * _HALF)  # doubled angle
         ap, bp = 1 - a, 1 - b
         if cid is ClassId.A1:
             f = (a, zero, zero, ap)
             return e, f, f, (b, zero, zero, bp)
         return e, (zero, ap, a, zero), (zero, a, ap, zero), (bp, zero, zero, b)
-    t = (1 + angle_cos(p.theta1)) * _HALF  # cos^2(theta1 / 2)
+    t = (1 + cos(p.theta1)) * _HALF  # cos^2(theta1 / 2)
     tp = 1 - t
     if cid is ClassId.B:
         q = Fraction(1, 4)
@@ -289,7 +290,10 @@ def _blocks(p: ClassParams):
 
 
 def extension_matrix(p: ClassParams, game: Bimatrix2) -> ExtendedGame:
-    """The family's block formula evaluated on the game.
+    """The family's block formula evaluated on the game, exactly: a float
+    game entry, a float angle's cosine and a cosine outside Q(sqrt(2)) are
+    taken at their binary values (angle_cos), so every entry is a Fraction
+    or a Q2, and the ties that identities in cos(theta1) make survive.
 
     Must equal build_extended_game(game, strategy_set(p)) entrywise; the two
     constructions share no code.

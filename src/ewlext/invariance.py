@@ -12,7 +12,7 @@ from typing import List, Optional, Sequence, Tuple
 
 from .equivalence import _classes, coefficient_row, row_keys
 from .errors import DimensionMismatchError
-from .exactnum import EXACT, Field
+from .exactnum import EXACT, Field, exact_value
 from .payoff import (Bimatrix2, PayoffPair, coefficient_grid, format_grid, format_scalar,
                      parse_grid, payoff_grid)
 from .su2 import StrategyParams, phi
@@ -263,22 +263,20 @@ def _block_matrix(game: Bimatrix2, blocks) -> List[List[PayoffPair]]:
 
     blocks = (e, f, g, h): coefficient 4-vectors for the top-left, top-right,
     bottom-left and bottom-right blocks, weighting Gamma^0..Gamma^3.  The
-    sums are exact if every coefficient and entry is, else float.
+    sums are exact, a float coefficient or entry taken at its binary value.
     """
     variants = [iso_variant(game, v) for v in IsoVariant]
-    field = Field.of_values([*(k for coeffs in blocks for k in coeffs),
-                             *(v for row in game.delta for p in row for v in p)])
     # cells[i][j][u]: player u's entry in cell (i, j) of Gamma^0..Gamma^3
-    cells = [[[field.vector(g.delta[i][j][u] for g in variants) for u in (0, 1)]
+    cells = [[[EXACT.vector(exact_value(g.delta[i][j][u]) for g in variants) for u in (0, 1)]
               for j in range(2)] for i in range(2)]
     grid = [[None] * 4 for _ in range(4)]
     for b, coeffs in enumerate(blocks):
         r0, c0 = 2 * (b // 2), 2 * (b % 2)
-        coeffs = field.vector(coeffs)
+        coeffs = EXACT.vector(map(exact_value, coeffs))
         for i in range(2):
             for j in range(2):
                 u1, u2 = cells[i][j]
-                grid[r0 + i][c0 + j] = PayoffPair(field.dot(coeffs, u1), field.dot(coeffs, u2))
+                grid[r0 + i][c0 + j] = PayoffPair(EXACT.dot(coeffs, u1), EXACT.dot(coeffs, u2))
     return grid
 
 

@@ -2,11 +2,12 @@
 
 Support enumeration: for every pair of candidate supports, solve the
 indifference equations by fraction-free elimination (`solve_linear`), then
-keep solutions that are feasible and undominated off support.  An exact
-game is scaled once to integers (`int`, or a `Q2` with d = 1 for sqrt(2)
-parts); both tests are decided on integer numerators, and only the pairs
-that pass are divided out.  Elimination runs on ints, or for a system with
-a sqrt(2) part on pairs of int lists, so no `Q2` is built inside the loop.
+keep solutions that are feasible and undominated off support.  The game is
+taken exactly, a float entry at its binary value, and scaled once to
+integers (`int`, or a `Q2` with d = 1 for sqrt(2) parts); both tests are
+decided on integer numerators, and only the pairs that pass are divided out.
+Elimination runs on ints, or for a system with a sqrt(2) part on pairs of
+int lists, so no `Q2` is built inside the loop.
 Each distinct indifference system is solved once per call (memoised on its
 rows' payoff ids), and its off-support test, divided profile and dedupe key
 are worked out once.  A pair with a strategy conditionally dominated on the
@@ -22,59 +23,56 @@ from itertools import combinations
 from typing import List, Optional, Sequence, Tuple
 
 from .errors import DimensionMismatchError
-from .exactnum import (EXACT, Q2, Field, _make, _parts, _sign, denominators_lcm, from_parts,
-                       integral, normalize)
+from .exactnum import (EXACT, Q2, Field, _make, _parts, _sign, denominators_lcm, exact_value,
+                       from_parts, integral, normalize)
 from .invariance import ExtendedGame
 from .payoff import PayoffPair, format_scalar
 
 DEVIATION_TOL = 1e-9
-PIVOT_TOL = 1e-12  # float elimination: pivots and zeros at most this vanish
-SUM_TOL = 1e-9  # float probabilities must sum to 1 within this
 
 
-# -- linear systems over an exact field or floats ------------------------------
+# -- exact linear systems --------------------------------------------------------
 
 
-def solve_linear(a_rows: List[List], rhs: List, field: Field):
+def solve_linear(a_rows: List[List], rhs: List):
     """Solve A x = b by fraction-free Gauss-Jordan elimination (Bareiss 1968).
 
     After k pivots every entry is a (k+1)-minor of [A | b], so each division
     by the previous pivot is exact, and every pivot row ends with the last
-    pivot d on its diagonal: x = numerator / d.  Float rows run these steps in
-    floats, the field's pivot rule and zero test applying to entry / d.
-    Exact rows are scaled to integers first: rational ones run on ints, ones
-    with a sqrt(2) part on int pairs (see _eliminate_pairs).
+    pivot d on its diagonal: x = numerator / d.  Entries are exact scalars;
+    rows are scaled to integers first: rational ones run on ints, ones with
+    a sqrt(2) part on int pairs (see _eliminate_pairs).  Each column's pivot
+    is its first nonzero entry.
 
     Returns (status, x): status 'unique', 'many' (x is the particular
-    solution with free variables zero) or 'none' (x is None).  Fraction, Q2
-    or float entries give x in that field; integer entries (int, Q2 with
+    solution with free variables zero) or 'none' (x is None).  Fraction or
+    Q2 entries give x in normalize's types; integer entries (int, Q2 with
     d = 1) give x = (numerators, d) with d > 0, each an int or, when it has
     a sqrt(2) part, a Q2 with d = 1, so a caller can decide signs on
     integers and divide only the solutions it keeps.
     """
     rows = [list(r) + [v] for r, v in zip(a_rows, rhs)]
     n = len(rows[0]) - 1
-    in_ring = field.exact and all(isinstance(v, int) or isinstance(v, Q2) and v.d == 1
-                                  for row in rows for v in row)
-    if field.exact and not in_ring:
+    in_ring = all(isinstance(v, int) or isinstance(v, Q2) and v.d == 1
+                  for row in rows for v in row)
+    if not in_ring:
         rows = [integral(row, denominators_lcm(row)) for row in rows]
-    if field.exact and any(isinstance(v, Q2) and v.q for row in rows for v in row):
+    if any(isinstance(v, Q2) and v.q for row in rows for v in row):
         parts = [[_parts(v) for v in row] for row in rows]
         status, nums, d = _eliminate_pairs([[p for p, _, _ in row] for row in parts],
                                            [[q for _, q, _ in row] for row in parts], n)
     else:
-        status, nums, d = _eliminate(rows, n, field)
+        status, nums, d = _eliminate(rows, n)
     if status == "none":
         return "none", None
     if in_ring:
         return status, (nums, d)
-    return status, [_value(v, d, field) for v in nums]
+    return status, [_value(v, d) for v in nums]
 
 
-def _eliminate(rows, n, field):
-    """Bareiss steps on rows of [A | b], ints in the exact field or floats:
+def _eliminate(rows, n):
+    """Bareiss steps on integer rows of [A | b] (ints, or Q2s with d = 1):
     (status, numerators, d) with d > 0, numerators None for 'none'."""
-    divide = operator.floordiv if field.exact else operator.truediv
     m = len(rows)
     d = 1
     pivots = []
@@ -82,23 +80,23 @@ def _eliminate(rows, n, field):
     for c in range(n):
         if r == m:
             break
-        piv = field.pivot([rows[i][c] for i in range(r, m)], d)
+        piv = next((i for i in range(r, m) if rows[i][c] != 0), None)
         if piv is None:
             continue
-        rows[r], rows[r + piv] = rows[r + piv], rows[r]
+        rows[r], rows[piv] = rows[piv], rows[r]
         top = rows[r]
         p = top[c]
         for i in range(m):
             if i != r:
                 row, f = rows[i], rows[i][c]
-                if field.is_zero(f, d):
-                    rows[i] = [divide(p * x, d) for x in row]
+                if f == 0:
+                    rows[i] = [p * x // d for x in row]
                 else:
-                    rows[i] = [divide(p * x - f * y, d) for x, y in zip(row, top)]
+                    rows[i] = [(p * x - f * y) // d for x, y in zip(row, top)]
         d = p
         pivots.append(c)
         r += 1
-    if any(not field.is_zero(rows[i][n], d) for i in range(r, m)):
+    if any(rows[i][n] != 0 for i in range(r, m)):
         return "none", None, d
     nums = [0] * n
     for k, c in enumerate(pivots):
@@ -224,18 +222,17 @@ class EquilibriumReport:
 # -- equilibrium computations ------------------------------------------------------
 
 
-def _payoff_grids(g: ExtendedGame, field: Field):
-    u1 = [[field.convert(cell.u1) for cell in row] for row in g.payoffs]
-    u2 = [[field.convert(cell.u2) for cell in row] for row in g.payoffs]
-    return u1, u2
+def _payoff_grids(g: ExtendedGame):
+    """Both players' payoffs, each entry at its exact value (exact_value)."""
+    return tuple([[exact_value(cell[k]) for cell in row] for row in g.payoffs] for k in (0, 1))
 
 
 def pure_equilibria(g: ExtendedGame) -> List[Tuple[int, int]]:
     """All cells that are simultaneously a best response for both players.
 
-    Ties are included.  Entries compare exactly, floats without a tolerance.
+    Ties are included.  Entries compare exactly, a float at its binary value.
     """
-    u1, u2 = _payoff_grids(g, EXACT)
+    u1, u2 = _payoff_grids(g)
     n = g.n
     out = []
     for i in range(n):
@@ -264,33 +261,26 @@ def best_response_values(g: ExtendedGame, opponent_mix: Sequence, side: str = "r
     raise ValueError(f"side must be 'row' or 'col', got {side!r}")
 
 
-def _indifference_solution(values, support, other_support, linear, field):
+def _indifference_solution(values, support, other_support):
     """Opponent mix over `support` making every strategy in `other_support`
     indifferent, plus that common value; None when infeasible.
 
-    `values[r][c]` is the optimizing player's payoff, rows = their own
-    strategies, columns = the mixing opponent's strategies.  The system is
-    solved in `linear`; feasibility is judged in `field`.  Returns
-    (probabilities, value, d): exact ones are integer numerators over the
-    common denominator d > 0, float ones are values and d is 1.
+    `values[r][c]` is the optimizing player's payoff, an integer, rows =
+    their own strategies, columns = the mixing opponent's strategies.
+    Returns (probabilities, value, d): integer numerators over the common
+    denominator d > 0.
     """
     a_rows = [[values[r][c] for c in support] + [-1] for r in other_support]
     a_rows.append([1] * len(support) + [0])
     rhs = [0] * len(other_support) + [1]
-    status, x = solve_linear(a_rows, rhs, linear)
+    status, x = solve_linear(a_rows, rhs)
     if status == "none":
         return None, False
-    nums, d = x if linear.exact else (x, 1)
+    nums, d = x
     probs, v = nums[:-1], nums[-1]
     degenerate = status == "many"
-    if any(field.exceeds(0, p) for p in probs):
+    if any(p < 0 for p in probs):
         return None, degenerate
-    if not field.exact:  # clip rounding noise below zero, then renormalise
-        probs = [max(p, 0.0) for p in probs]
-        total = sum(probs)
-        if abs(total - 1.0) > SUM_TOL:
-            return None, degenerate
-        probs = [p / total for p in probs]
     return (probs, v, d), degenerate
 
 
@@ -300,70 +290,64 @@ def mixed_equilibria(g: ExtendedGame, mode: str = "exact") -> EquilibriumReport:
     Pure equilibria appear as singleton supports.  Support pairs whose
     indifference system is singular but solvable are flagged degenerate;
     one member of the family is sampled, the family is not enumerated.
-    Mode 'exact' computes in Q(sqrt(2)) and raises ExactnessError for a
-    float entry; mode 'float' eliminates at PIVOT_TOL and judges deviations
-    at DEVIATION_TOL.
+    The enumeration is exact, in Q(sqrt(2)).  Mode 'exact' raises
+    ExactnessError for a float entry.  Mode 'float' takes each float entry
+    at its binary value (DomainError for NaN or inf) and converts the
+    report's profiles and payoffs by float() once, at the output: it is the
+    exact report of the game as the floats give it, in the same order, so a
+    tie the input's rounding broke (0.1 + 0.2 against 0.3) stays broken.
 
     A pair (R, C) is skipped unsolved when some r in R is beaten by another
     pure r' on every column of C (or likewise some c in C on R).  Every mix q
     over C gives u1[r'].q > u1[r].q, so if r' is in R the indifference system
     has no feasible solution, and if not, the best-response test rejects the
-    pair.  The report is the same (in floats, up to rounding at DEVIATION_TOL).
+    pair.  The report is the same.
 
     Each distinct indifference system is solved once per call: systems are
-    keyed by side, support and their equation rows, each row the ids of its
-    payoffs.  An exact key holds the set of rows, since the solution depends
-    on that set only (pivot columns are where the rank rises, free variables
-    are 0, and two row orders' numerators and d differ by a positive factor,
-    which moves no sign test and no divided value); a float key holds the
-    rows in order, so a hit repeats bit-identical arithmetic.  A solution's
-    off-support best replies, its divided profile and its dedupe key are
-    also worked out once.
+    keyed by side, support and the set of their equation rows, each row the
+    ids of its payoffs.  The solution depends on that set only (pivot
+    columns are where the rank rises, free variables are 0, and two row
+    orders' numerators and d differ by a positive factor, which moves no
+    sign test and no divided value).  A solution's off-support best replies,
+    its divided profile and its dedupe key are also worked out once.
     """
     n = g.n
     if n > 6:
         raise DimensionMismatchError(
             f"support enumeration is limited to 6 strategies per side, got {n}"
         )
-    linear = Field.of((v for row in g.payoffs for cell in row for v in cell),
-                      mode, PIVOT_TOL)
-    field = linear if linear.exact else Field(DEVIATION_TOL)
-    u1, u2 = _payoff_grids(g, linear)
-    # exact games run on integers: scale every entry by the lcm of the
-    # denominators; the indifference values come out scaled by it as well
-    scale, s1, s2 = 1, u1, u2
-    if linear.exact:
-        scale = denominators_lcm(v for grid in (u1, u2) for row in grid for v in row)
-        s1, s2 = ([integral(row, scale) for row in grid] for grid in (u1, u2))
+    Field.of((v for row in g.payoffs for cell in row for v in cell), mode)
+    u1, u2 = _payoff_grids(g)
+    # run on integers: scale every entry by the lcm of the denominators; the
+    # indifference values come out scaled by it as well
+    scale = denominators_lcm(v for grid in (u1, u2) for row in grid for v in row)
+    s1, s2 = ([integral(row, scale) for row in grid] for grid in (u1, u2))
     s2_t = [list(col) for col in zip(*s2)]
     grids = (s1, s2_t)  # rows: the optimizing player's strategies
     all_supports = [
         s for size in range(1, n + 1) for s in combinations(range(n), size)
     ]
     # per grid and support, each row's payoff ids on the support's columns
-    # (float ids tell -0.0 from 0.0, so equal ids mean equal bits)
     cut = []
     for grid in grids:
-        ids = EXACT.intern(v if linear.exact else v.hex() for row in grid for v in row)
+        ids = EXACT.intern(v for row in grid for v in row)
         cut.append({s: [tuple(ids[r * n + c] for c in s) for r in range(n)]
                     for s in all_supports})
-    vectors = [[linear.vector(row) for row in grid] for grid in grids]
+    vectors = [[EXACT.vector(row) for row in grid] for grid in grids]
     memo, keys = {}, {}
 
     def solved(side, support, other):
-        rows = [cut[side][support][r] for r in other]
-        key = (side, support, frozenset(rows) if linear.exact else tuple(rows))
+        key = (side, support, frozenset(cut[side][support][r] for r in other))
         if key not in memo:
-            sol, deg = _indifference_solution(grids[side], support, other, linear, field)
-            memo[key] = None if sol is None else _Mix(sol, deg, support, vectors[side],
-                                                      linear, field)
+            sol, deg = _indifference_solution(grids[side], support, other)
+            memo[key] = None if sol is None else _Mix(sol, deg, support, vectors[side])
         return memo[key]
 
     found = {}
     degenerate = False
     beaten1, beaten2 = (
         {s: _dominated(masks, s) for s in all_supports}
-        for masks in (_beat_masks(grid, field) for grid in grids))
+        for masks in map(_beat_masks, grids))
     for rows_supp in all_supports:
         for cols_supp in all_supports:
             if (beaten1[cols_supp].intersection(rows_supp)
@@ -378,8 +362,8 @@ def mixed_equilibria(g: ExtendedGame, mode: str = "exact") -> EquilibriumReport:
             p = solved(1, rows_supp, cols_supp)
             if p is None or not p.better.issubset(cols_supp):
                 continue
-            q_full, v1, q_key, q_nonzero, q_spans = q.divided(scale, linear, field, keys)
-            p_full, v2, p_key, p_nonzero, p_spans = p.divided(scale, linear, field, keys)
+            q_full, v1, q_key, q_nonzero, q_spans = q.divided(scale, keys)
+            p_full, v2, p_key, p_nonzero, p_spans = p.divided(scale, keys)
             # An underdetermined system that nevertheless produced an
             # equilibrium with full support on the candidate sets evidences
             # a solution family: keep the sample, do not enumerate.
@@ -397,7 +381,16 @@ def mixed_equilibria(g: ExtendedGame, mode: str = "exact") -> EquilibriumReport:
         key=lambda e: (e.supports, tuple(float(v) for v in e.profile.p1),
                        tuple(float(v) for v in e.profile.p2)),
     )
+    if mode == "float":
+        ordered = map(_floated, ordered)
     return EquilibriumReport(tuple(ordered), degenerate)
+
+
+def _floated(eq: Equilibrium) -> Equilibrium:
+    """eq with every probability and payoff converted by float()."""
+    p1, p2 = (tuple(map(float, p)) for p in (eq.profile.p1, eq.profile.p2))
+    return Equilibrium(MixedProfile(p1, p2), PayoffPair(*map(float, eq.payoff)),
+                       eq.kind, eq.supports)
 
 
 class _Mix:
@@ -407,47 +400,42 @@ class _Mix:
 
     `better` holds the optimizing player's strategies that beat v against
     the mix; `best` counts their pure best responses to it.  Both come from
-    the scaled grid's rows (`vectors`), summed as best_response_values sums.
+    the scaled grid's rows (`vectors`, as EXACT.vector gives them).
     """
 
-    def __init__(self, sol, degenerate, support, vectors, linear, field):
+    def __init__(self, sol, degenerate, support, vectors):
         nums, self.v, self.d = sol
         self.nums = _spread(nums, support, len(vectors))
         self.support, self.degenerate = support, degenerate
-        pays = _payoffs(vectors, self.nums, linear)
-        self.better = frozenset(i for i, x in enumerate(pays) if field.exceeds(x, self.v))
-        top = max(pays)
-        self.best = sum(1 for x in pays if not field.exceeds(top, x))
+        pays = _payoffs(vectors, self.nums)
+        self.better = frozenset(i for i, x in enumerate(pays) if x > self.v)
+        self.best = pays.count(max(pays))
         self._divided = None
 
-    def divided(self, scale, linear, field, keys):
+    def divided(self, scale, keys):
         """(profile, value, dedupe id, nonzero strategies, whether the
         support is all nonzero), divided out on first use; `keys` interns
-        the profiles' Field.key tuples."""
+        the profiles."""
         if self._divided is None:
-            full = tuple(_value(x, self.d, field) for x in self.nums)
-            nonzero = tuple(i for i, x in enumerate(full) if not linear.is_zero(x))
-            self._divided = (full, _value(self.v, self.d * scale, field),
-                             keys.setdefault(tuple(map(field.key, full)), len(keys)),
+            full = tuple(_value(x, self.d) for x in self.nums)
+            nonzero = tuple(i for i, x in enumerate(full) if x != 0)
+            self._divided = (full, _value(self.v, self.d * scale),
+                             keys.setdefault(full, len(keys)),
                              nonzero, set(self.support).issubset(nonzero))
         return self._divided
 
 
-def _payoffs(vectors, mix, linear):
-    """Each grid row (as Field.vector gives it) times the mix: floats summed
-    as best_response_values sums them; exact ones, on int numerators, as an
-    int or a Q2 with d = 1."""
-    mix = linear.vector(mix)
-    if not linear.exact:
-        return [linear.dot(row, mix) for row in vectors]
-    (mp, mq, _), mul = mix, operator.mul
+def _payoffs(vectors, mix):
+    """Each grid row (as EXACT.vector gives it) times the mix of int
+    numerators, as an int or a Q2 with d = 1."""
+    (mp, mq, _), mul = EXACT.vector(mix), operator.mul
     return [_ring(sum(map(mul, rp, mp)) + 2 * sum(map(mul, rq, mq)),
                   sum(map(mul, rp, mq)) + sum(map(mul, rq, mp))) for rp, rq, _ in vectors]
 
 
-def _beat_masks(values, field):
+def _beat_masks(values):
     """masks[r][o]: bitmask of the columns on which row o beats row r."""
-    return [[sum(1 << c for c, (x, y) in enumerate(zip(other, row)) if field.exceeds(x, y))
+    return [[sum(1 << c for c, (x, y) in enumerate(zip(other, row)) if x > y)
              for other in values] for row in values]
 
 
@@ -465,11 +453,8 @@ def _spread(values, support, n):
     return out
 
 
-def _value(num, d, field):
-    """num / d: a Fraction, or a Q2 when irrational, in the exact field; a
-    float otherwise."""
-    if not field.exact:
-        return num / d
+def _value(num, d):
+    """num / d in normalize's types: a Fraction, or a Q2 when irrational."""
     if isinstance(d, int):
         p, q, e = _parts(num)
         return from_parts(p, q, e * d)

@@ -4,7 +4,8 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from ewlext import Bimatrix2, canonicalize
+from ewlext import (Bimatrix2, Equilibrium, EquilibriumReport, MixedProfile, PayoffPair,
+                    canonicalize)
 from ewlext.payoff import statevector
 from ewlext.su2 import unitary_entries
 
@@ -74,9 +75,10 @@ def random_exact_pair(rng):
     return tuple(out)
 
 
-def gauss_jordan_reference(a_rows, rhs, field):
-    """Gauss-Jordan in field arithmetic (Fraction, Q2 or float), pivot rows
-    scaled to 1: the elimination solve_linear replaced, kept as its reference."""
+def gauss_jordan_reference(a_rows, rhs):
+    """Gauss-Jordan on exact entries (int, Fraction or Q2), pivot rows scaled
+    to 1 and each column's pivot its first nonzero entry: the elimination
+    solve_linear replaced, kept as its reference."""
     m, n = len(a_rows), len(a_rows[0])
     rows = [list(r) + [v] for r, v in zip(a_rows, rhs)]
     pivots = []
@@ -84,24 +86,34 @@ def gauss_jordan_reference(a_rows, rhs, field):
     for c in range(n):
         if r == m:
             break
-        piv = field.pivot([rows[i][c] for i in range(r, m)])
+        piv = next((i for i in range(r, m) if rows[i][c] != 0), None)
         if piv is None:
             continue
-        rows[r], rows[r + piv] = rows[r + piv], rows[r]
+        rows[r], rows[piv] = rows[piv], rows[r]
         scale = rows[r][c]
         rows[r] = [x / scale for x in rows[r]]
         for i in range(m):
-            if i != r and not field.is_zero(rows[i][c]):
+            if i != r and rows[i][c] != 0:
                 f = rows[i][c]
                 rows[i] = [x - f * y for x, y in zip(rows[i], rows[r])]
         pivots.append(c)
         r += 1
-    if any(not field.is_zero(rows[i][n]) for i in range(r, m)):
+    if any(rows[i][n] != 0 for i in range(r, m)):
         return "none", None
-    x = [field.convert(0)] * n
+    x = [Fraction(0)] * n
     for k, c in enumerate(pivots):
         x[c] = rows[k][n]
     return ("unique" if len(pivots) == n else "many"), x
+
+
+def floated_report(report):
+    """An EquilibriumReport with every probability and payoff as a float."""
+    def floated(e):
+        return Equilibrium(MixedProfile(tuple(map(float, e.profile.p1)),
+                                        tuple(map(float, e.profile.p2))),
+                           PayoffPair(*map(float, e.payoff)), e.kind, e.supports)
+
+    return EquilibriumReport(tuple(map(floated, report.equilibria)), report.degenerate)
 
 
 @pytest.fixture

@@ -517,6 +517,39 @@ def test_float_equilibria_of_a_pre_extended_q_sqrt2_game(capsys, pd_file):
     assert all(isinstance(v, float) for e in json.loads(out) for v in e["p1"] + e["p2"])
 
 
+def test_float_equilibria_print_no_negative_zero(capsys):
+    game = '{"payoffs": [[["0","0"],["-1","1"]],[["1","-1"],["0","0"]]]}'
+    code, out, _ = run(capsys, "equilibria", "--mode", "float", "--game", game)
+    assert code == 0 and json.loads(out)
+    assert "-0.0" not in out
+
+
+# a float game and a D1 point at a float theta1 whose extension is degenerate
+# through identities in cos(theta1): rounding the extension to floats before
+# solving leaves 1 equilibrium, not degenerate
+D1_FLOAT_GAME = json.dumps({"payoffs": [
+    [[4.685315169882433, 4.486392487443613], [0.1608139762254579, 4.5487520886533765]],
+    [[2.3022375650016382, 1.1856396686080384], [4.717153163136926, -3.8194047059476777]]]})
+D1_FLOAT_ARGS = ("--mode", "float", "--class", "D1", "--theta1", "0.4159773836125266",
+                 "--alpha1", "1 pi", "--beta1", "0 pi", "--alpha2", "1 pi", "--beta2", "1 pi",
+                 "--game", D1_FLOAT_GAME)
+
+
+def test_float_extend_first_keeps_the_ties_of_the_exact_extension(capsys):
+    code, out, err = run(capsys, "equilibria", "--extend-first", *D1_FLOAT_ARGS)
+    assert code == 0
+    assert len(json.loads(out)) == 12
+    assert err.startswith("warning: degenerate game")
+    # extend prints the same extension, each entry converted by float()
+    code, out, _ = run(capsys, "extend", *D1_FLOAT_ARGS)
+    assert code == 0
+    params = ewlext.ClassParams.create("D1", theta1=0.4159773836125266, alpha1="1 pi",
+                                       beta1="0 pi", alpha2="1 pi", beta2="1 pi")
+    ext = ewlext.extension_matrix(params, ewlext.Bimatrix2.from_json(json.loads(D1_FLOAT_GAME)))
+    assert json.loads(out)["payoffs"] == [[[float(v) for v in p] for p in row]
+                                          for row in ext.payoffs]
+
+
 ZERO_DENOMINATOR_GAMES = [
     '{"payoffs": [[["1/0",2],[3,4]],[[5,6],[7,8]]]}',
     '{"payoffs": [[["1+1/0*sqrt(2)",2],[3,4]],[[5,6],[7,8]]]}',

@@ -12,6 +12,7 @@ from ewlext import (
     InvalidClassParams,
     NotDiscreteError,
     PRISONERS_DILEMMA,
+    Q2,
     build_extended_game,
     criterion_holds,
     enumerate_discrete_solutions,
@@ -345,14 +346,13 @@ def test_float_a_congruence_is_symmetric_about_multiples_of_pi():
 
 
 @pytest.mark.parametrize("cls,theta1", [("C", "1/4 pi"), ("E1", "1/3 pi"), ("D2", "3/4 pi")])
-def test_extension_matrix_of_a_float_game_is_float(cls, theta1):
-    # the block coefficients are exact, some in Q(sqrt(2)); a float game makes
-    # every sum float rather than mixing the two
-    floated = Bimatrix2.from_rows([[(3.0, 3.0), (0.0, 5.0)], [(5.0, 0.0), (1.0, 1.0)]])
+def test_extension_matrix_of_a_float_game_is_exact(cls, theta1):
+    # a float entry is taken at its binary value, so the extension of a float
+    # game is the extension of its Fraction entries, some in Q(sqrt(2))
+    rows = [[(3.0, 3.0), (0.1, 5.0)], [(5.0, 0.0), (1.0, 1.0 / 3)]]
     params = ClassParams.create(cls, theta1=theta1)
-    want = extension_matrix(params, PRISONERS_DILEMMA)
-    got = extension_matrix(params, floated)
-    for row_w, row_g in zip(want.payoffs, got.payoffs):
-        for w, g in zip(row_w, row_g):
-            assert all(isinstance(v, float) for v in g)
-            assert abs(float(w.u1) - g.u1) < 1e-12 and abs(float(w.u2) - g.u2) < 1e-12
+    got = extension_matrix(params, Bimatrix2.from_rows(rows))
+    want = extension_matrix(params, Bimatrix2.from_rows(
+        [[tuple(map(Fraction, p)) for p in row] for row in rows]))
+    assert got == want
+    assert all(isinstance(v, (Fraction, Q2)) for row in got.payoffs for p in row for v in p)

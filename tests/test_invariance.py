@@ -27,7 +27,7 @@ from ewlext import (
     verify_invariance_end_to_end,
 )
 from ewlext import payoff
-from ewlext.exactnum import Field, normalize
+from ewlext.exactnum import normalize
 from ewlext.extensions import _blocks
 from ewlext.invariance import InvarianceReport, VariantWitness
 from conftest import random_rational_game
@@ -318,11 +318,14 @@ REFERENCE_GAMES = [
 
 
 def reference_sum(coeffs, entries):
-    """One field for the pair of vectors, Python's sum over the converted
-    products, then normalize: the plain route the payoff sums must match."""
-    field = Field.of_values([*coeffs, *entries])
-    return normalize(sum((field.convert(k) * field.convert(v)
-                          for k, v in zip(coeffs, entries)), field.convert(0)))
+    """Python's sum of the products, all in floats if a value is a float
+    and else exact, then normalize: the plain route the payoff sums must
+    match."""
+    values = [*coeffs, *entries]
+    convert = float if any(isinstance(v, float) for v in values) else (
+        lambda x: Fraction(x) if isinstance(x, int) else x)
+    return normalize(sum((convert(k) * convert(v) for k, v in zip(coeffs, entries)),
+                         convert(0)))
 
 
 def reference_extension(game, strategies, mode):
@@ -339,6 +342,10 @@ def reference_extension(game, strategies, mode):
 
 
 def reference_block_matrix(game, blocks):
+    """The block formula's grid, a float entry taken at its binary value."""
+    game = Bimatrix2(tuple(tuple(PayoffPair(*(Fraction(v) if isinstance(v, float) else v
+                                              for v in p)) for p in row)
+                           for row in game.delta))
     variants = [iso_variant(game, v) for v in IsoVariant]
     grid = [[None] * 4 for _ in range(4)]
     for b, coeffs in enumerate(blocks):

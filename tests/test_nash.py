@@ -22,11 +22,10 @@ from ewlext import (
     pure_equilibria,
     verify_equilibrium,
 )
-from ewlext import nash
-from ewlext.equivalence import EXACT, Field
+from ewlext import DomainError, nash
 from ewlext.exactnum import normalize
-from ewlext.nash import DEVIATION_TOL, PIVOT_TOL, SUM_TOL, solve_linear
-from conftest import gauss_jordan_reference, random_rational_game
+from ewlext.nash import solve_linear
+from conftest import floated_report, gauss_jordan_reference, random_rational_game
 
 PD = PRISONERS_DILEMMA
 F = Fraction
@@ -42,27 +41,20 @@ def c_ext():
 
 
 def test_solve_linear_unique():
-    status, x = solve_linear([[F(2), F(1)], [F(1), F(-1)]], [F(3), F(0)], EXACT)
+    status, x = solve_linear([[F(2), F(1)], [F(1), F(-1)]], [F(3), F(0)])
     assert status == "unique"
     assert x == [F(1), F(1)]
 
 
 def test_solve_linear_inconsistent():
-    status, x = solve_linear([[F(1), F(1)], [F(2), F(2)]], [F(1), F(3)], EXACT)
+    status, x = solve_linear([[F(1), F(1)], [F(2), F(2)]], [F(1), F(3)])
     assert status == "none" and x is None
 
 
 def test_solve_linear_underdetermined():
-    status, x = solve_linear([[F(1), F(1), F(0)]], [F(1)], EXACT)
+    status, x = solve_linear([[F(1), F(1), F(0)]], [F(1)])
     assert status == "many"
     assert x[0] == 1 and x[1] == 0  # free variables pinned to zero
-
-
-def test_solve_linear_float_pivoting():
-    status, x = solve_linear([[1e-16, 1.0], [1.0, 1.0]], [1.0, 2.0], Field(PIVOT_TOL))
-    assert status == "unique"
-    assert x[0] == pytest.approx(1.0, abs=1e-9)
-    assert x[1] == pytest.approx(1.0, abs=1e-9)
 
 
 R2 = Q2(0, 1)  # sqrt(2)
@@ -72,7 +64,7 @@ def ring_solve(a_rows, rhs):
     """solve_linear on Z[sqrt(2)] entries: checks that each numerator and d
     is an int or, with a sqrt(2) part, a Q2 with d = 1, that d > 0 and that
     x solves the system; returns (status, x)."""
-    status, x = solve_linear(a_rows, rhs, EXACT)
+    status, x = solve_linear(a_rows, rhs)
     if x is None:
         return status, None
     nums, d = x
@@ -90,7 +82,7 @@ def test_solve_linear_z_sqrt2_unique_through_a_non_unit_pivot():
     a_rows, rhs = [[2 + R2, 1], [1, R2]], [3, 1 + R2]
     status, x = ring_solve(a_rows, rhs)
     assert status == "unique"
-    assert solve_linear(a_rows, rhs, EXACT)[1][1] == 1 + 2 * R2
+    assert solve_linear(a_rows, rhs)[1][1] == 1 + 2 * R2
     assert x == [Q2(F(9, 7), F(-4, 7)), Q2(F(11, 7), F(-1, 7))]
 
 
@@ -281,6 +273,29 @@ def test_float_mode_converts_exact_entries(theta1):
         assert verify_equilibrium(ext, f)
 
 
+@pytest.mark.parametrize("bad", [float("nan"), float("inf")], ids=["nan", "inf"])
+def test_float_mode_refuses_a_non_finite_entry(bad):
+    # parse_scalar refuses these too; a game built in code reaches the solver
+    g = ExtendedGame(("s1", "s2"), (((1.0, bad), (0.0, 0.0)), ((0.0, 0.0), (1.0, 1.0))))
+    with pytest.raises(DomainError):
+        mixed_equilibria(g, mode="float")
+
+
+def test_float_report_is_unchanged_by_scaling_by_a_power_of_two(c_ext):
+    # 2**-600 scales every binary value exactly, so only the payoffs change,
+    # and exactly; an absolute tolerance would tie every cell of the game
+    tiny = 2.0 ** -600
+    game = ExtendedGame(c_ext.labels, tuple(
+        tuple((float(p.u1), float(p.u2)) for p in row) for row in c_ext.payoffs))
+    scaled = ExtendedGame(game.labels, tuple(
+        tuple((p.u1 * tiny, p.u2 * tiny) for p in row) for row in game.payoffs))
+    want, got = mixed_equilibria(game, mode="float"), mixed_equilibria(scaled, mode="float")
+    assert len(want.equilibria) == 3 and got.degenerate == want.degenerate
+    for e, f in zip(want.equilibria, got.equilibria):
+        assert (f.kind, f.supports, f.profile) == (e.kind, e.supports, e.profile)
+        assert f.payoff == (e.payoff.u1 * tiny, e.payoff.u2 * tiny)
+
+
 def unpruned(game, mode="exact"):
     """mixed_equilibria with no strategy ever counted as dominated."""
     with pytest.MonkeyPatch.context() as mp:
@@ -324,38 +339,27 @@ def test_dominance_pruning_solves_fewer_systems(monkeypatch):
     assert 0 < 3 * pruned < len(calls) - pruned
 
 
-def reference_equilibria(game, mode="exact"):
+def reference_equilibria(game):
     """mixed_equilibria written plainly, as its reference: every support
-    pair solved by gauss_jordan_reference in field arithmetic (Fraction, Q2
-    or float), with no memo, no dominance pruning and no integer rows, and
-    judged by the same feasibility, deviation and degeneracy rules, dedupe
-    key and order."""
-    exact = mode == "exact"
-    linear = EXACT if exact else Field(PIVOT_TOL)
-    field = EXACT if exact else Field(DEVIATION_TOL)
+    pair of an exact game solved by gauss_jordan_reference in Q(sqrt(2)),
+    with no memo, no dominance pruning and no integer rows, and judged by
+    the same feasibility, deviation and degeneracy rules, dedupe and order."""
     n = game.n
-    u1 = [[linear.convert(c.u1) for c in row] for row in game.payoffs]
-    u2_t = [[linear.convert(row[j].u2) for row in game.payoffs] for j in range(n)]
+    u1 = [[F(c.u1) if isinstance(c.u1, int) else c.u1 for c in row] for row in game.payoffs]
+    u2_t = [[F(row[j].u2) if isinstance(row[j].u2, int) else row[j].u2 for row in game.payoffs]
+            for j in range(n)]
 
     def indifferent(values, support, other):
         """(opponent mix over all n, value, singular) making every strategy
         in `other` indifferent, or None when infeasible."""
-        zero, one = linear.convert(0), linear.convert(1)
-        a_rows = [[values[r][c] for c in support] + [-one] for r in other]
-        a_rows.append([one] * len(support) + [zero])
-        status, x = gauss_jordan_reference(a_rows, [zero] * len(other) + [one], linear)
-        if status == "none" or any(field.exceeds(0, p) for p in x[:-1]):
+        a_rows = [[values[r][c] for c in support] + [F(-1)] for r in other]
+        a_rows.append([F(1)] * len(support) + [F(0)])
+        status, x = gauss_jordan_reference(a_rows, [F(0)] * len(other) + [F(1)])
+        if status == "none" or any(p < 0 for p in x[:-1]):
             return None
-        probs = [normalize(p) for p in x[:-1]]
-        if not exact:
-            probs = [max(p, 0.0) for p in probs]
-            total = sum(probs)
-            if abs(total - 1.0) > SUM_TOL:
-                return None
-            probs = [p / total for p in probs]
-        mix = [zero] * n
-        for i, p in zip(support, probs):
-            mix[i] = p
+        mix = [F(0)] * n
+        for i, p in zip(support, x[:-1]):
+            mix[i] = normalize(p)
         return mix, normalize(x[-1]), status == "many"
 
     def pays(values, mix):
@@ -372,16 +376,15 @@ def reference_equilibria(game, mode="exact"):
                 continue
             (q_mix, v1, q_many), (p_mix, v2, p_many) = q, p
             pays1, pays2 = pays(u1, q_mix), pays(u2_t, p_mix)
-            if (any(field.exceeds(pays1[r], v1) for r in range(n) if r not in rows_supp)
-                    or any(field.exceeds(pays2[c], v2) for c in range(n) if c not in cols_supp)):
+            if (any(pays1[r] > v1 for r in range(n) if r not in rows_supp)
+                    or any(pays2[c] > v2 for c in range(n) if c not in cols_supp)):
                 continue
-            if (q_many or p_many) and not any(
-                    linear.is_zero(q_mix[c]) for c in cols_supp) and not any(
-                    linear.is_zero(p_mix[r]) for r in rows_supp):
+            if (q_many or p_many) and all(q_mix[c] != 0 for c in cols_supp) and all(
+                    p_mix[r] != 0 for r in rows_supp):
                 degenerate = True
-            key = tuple(map(field.key, p_mix + q_mix))
+            key = tuple(p_mix + q_mix)
             if key not in found:
-                supp = tuple(tuple(i for i, x in enumerate(mix) if not linear.is_zero(x))
+                supp = tuple(tuple(i for i, x in enumerate(mix) if x != 0)
                              for mix in (p_mix, q_mix))
                 kind = "pure" if len(supp[0]) == len(supp[1]) == 1 else "mixed"
                 eq = Equilibrium(MixedProfile(tuple(p_mix), tuple(q_mix)),
@@ -390,41 +393,29 @@ def reference_equilibria(game, mode="exact"):
     ordered = sorted(found.values(), key=lambda e: (
         e[0].supports, [float(v) for v in e[0].profile.p1], [float(v) for v in e[0].profile.p2]))
     for eq, pays1, pays2 in ordered:
-        best1 = sum(not field.exceeds(max(pays1), x) for x in pays1)
-        best2 = sum(not field.exceeds(max(pays2), x) for x in pays2)
-        degenerate |= best1 > len(eq.supports[1]) or best2 > len(eq.supports[0])
+        degenerate |= (pays1.count(max(pays1)) > len(eq.supports[1])
+                       or pays2.count(max(pays2)) > len(eq.supports[0]))
     return EquilibriumReport(tuple(eq for eq, *_ in ordered), degenerate)
 
 
-def assert_matches_reference(game, mode):
-    """Exact reports equal the reference's.  Float ones agree up to rounding:
-    the same flag and, once sorted by values rounded to 1e-6 (rounding alone
-    can reorder two equilibria of one support pair), the same kinds and
-    supports, with values within 1e-9."""
-    got, want = mixed_equilibria(game, mode=mode), reference_equilibria(game, mode)
-    if mode == "exact":
-        assert got == want
+def assert_matches_reference(game):
+    """An exact game's report equals the reference's.  A float game's float
+    report equals the reference's report of the entries' binary values,
+    each probability and payoff then converted by float()."""
+    floats = any(isinstance(v, float) for row in game.payoffs for p in row for v in p)
+    if not floats:
+        assert mixed_equilibria(game) == reference_equilibria(game)
         return
-    assert got.degenerate == want.degenerate
-    assert len(got.equilibria) == len(want.equilibria)
-
-    def values(e):
-        return e.profile.p1 + e.profile.p2 + tuple(e.payoff)
-
-    def rounded(report):
-        return sorted(report.equilibria, key=lambda e: (
-            e.supports, [round(v, 6) for v in values(e)]))
-
-    for e, f in zip(rounded(got), rounded(want)):
-        assert (e.kind, e.supports) == (f.kind, f.supports)
-        assert all(abs(x - y) <= 1e-9 for x, y in zip(values(e), values(f)))
+    exact = ExtendedGame(game.labels, tuple(
+        tuple(tuple(F(v) if isinstance(v, float) else v for v in p) for p in row)
+        for row in game.payoffs))
+    assert mixed_equilibria(game, mode="float") == floated_report(reference_equilibria(exact))
 
 
 @settings(max_examples=100, deadline=None, derandomize=True)
 @given(small_games())
 def test_mixed_equilibria_match_the_reference_enumeration(game):
-    floats = any(isinstance(v, float) for row in game.payoffs for p in row for v in p)
-    assert_matches_reference(game, "float" if floats else "exact")
+    assert_matches_reference(game)
 
 
 MATCHING_PENNIES = Bimatrix2.from_rows([[(1, -1), (-1, 1)], [(-1, 1), (1, -1)]])
@@ -436,6 +427,6 @@ MATCHING_PENNIES = Bimatrix2.from_rows([[(1, -1), (-1, 1)], [(-1, 1), (1, -1)]])
 def test_q_sqrt2_extensions_match_the_reference_enumeration(game, cls, theta1):
     ext = extension_matrix(ClassParams.create(cls, theta1=theta1), game)
     assert any(isinstance(v, Q2) for row in ext.payoffs for p in row for v in p)
-    assert_matches_reference(ext, "exact")
+    assert_matches_reference(ext)
     if game is MATCHING_PENNIES:
         assert mixed_equilibria(ext).degenerate
