@@ -4,8 +4,11 @@ bimatrices for the permissible families, and Nash equilibrium solving.
 
 Every moded function computes in one of two modes: 'exact' (the default)
 returns Fraction and Q2 values in Q(sqrt(2)) and raises ExactnessError
-where a value would leave it; 'float' computes in doubles.  Any other mode
-raises ValueError.  The package uses the standard library only.
+where a value would leave it; 'float' accepts floats and computes in
+doubles, except mixed_equilibria, which solves exactly on each float's
+binary value and converts by float() once, at the output.  Any other mode
+raises ValueError.  extension_matrix takes no mode and is always exact.
+The package uses the standard library only.
 """
 
 from .equivalence import are_equivalent, partition

@@ -24,7 +24,7 @@ from __future__ import annotations
 
 from typing import Dict, List, Sequence, Tuple
 
-from .exactnum import EXACT, FLOAT_TOL, Field, check_mode  # noqa: F401  (re-exported)
+from .exactnum import Field, check_mode
 from .payoff import CoefficientVector, coefficients
 from .su2 import StrategyParams
 

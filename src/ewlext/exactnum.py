@@ -31,10 +31,8 @@ class Q2:
     """Number (p + q*sqrt(2))/d with int p, q, d, d > 0 and gcd(p, q, d) = 1.
 
     Immutable, hashable and ordered; .a and .b are the rational parts
-    p/d and q/d.  The ring Z[sqrt(2)] is the d = 1 case, and x // y is the
-    exact quotient there: x / y when that lies in Z[sqrt(2)], else
-    ArithmeticError.  Ints and Fractions mix in freely and compare and hash
-    equal to the Q2 of the same value.
+    p/d and q/d.  The ring Z[sqrt(2)] is the d = 1 case.  Ints and Fractions
+    mix in freely and compare and hash equal to the Q2 of the same value.
     """
 
     __slots__ = ("p", "q", "d")
@@ -111,22 +109,6 @@ class Q2:
 
     def __rtruediv__(self, other):
         return Q2.coerce(other) / self
-
-    def __floordiv__(self, other):
-        p, q, d = _parts(other)
-        # (a + b r)/s divided by (c + e r)/d is (a + b r)(c - e r) d/(s n),
-        # n = c^2 - 2e^2: in Z[sqrt(2)] exactly when s n divides both parts
-        n = (p * p - 2 * q * q) * self.d
-        if n == 0:
-            raise ZeroDivisionError("division by zero in Q2")
-        x, rx = divmod((self.p * p - 2 * self.q * q) * d, n)
-        y, ry = divmod((self.q * p - self.p * q) * d, n)
-        if rx or ry:
-            raise ArithmeticError(f"{self} is not divisible by {other} in Z[sqrt(2)]")
-        return _make(x, y, 1)
-
-    def __rfloordiv__(self, other):
-        return Q2.coerce(other) // self
 
     # -- comparisons ------------------------------------------------------
 
@@ -480,11 +462,11 @@ class Field:
     tol: Optional[float] = None
 
     @staticmethod
-    def of(values, mode: str = "exact", tol: float = FLOAT_TOL) -> "Field":
-        """The field of a moded function: Field(tol) in mode 'float'; in
-        mode 'exact' EXACT, or ExactnessError if some value is a float."""
+    def of(values, mode: str = "exact") -> "Field":
+        """The field of a moded function: Field(FLOAT_TOL) in mode 'float';
+        in mode 'exact' EXACT, or ExactnessError if some value is a float."""
         if check_mode(mode) == "float":
-            return Field(tol)
+            return Field(FLOAT_TOL)
         if not all(map(scalar_is_exact, values)):
             raise ExactnessError("exact mode needs exact values; use float mode for floats")
         return EXACT

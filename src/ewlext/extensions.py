@@ -196,51 +196,29 @@ class ClassParams:
 
 # -- discrete solution sets ---------------------------------------------------
 
-_P14 = (Fraction(1, 4), Fraction(5, 4))
-_P34 = (Fraction(3, 4), Fraction(7, 4))
-_P0 = (Fraction(0), Fraction(1))
-_P12 = (Fraction(1, 2), Fraction(3, 2))
-
-
-_SOLUTIONS = {
-    ClassId.B: [
-        *product(_P14, _P14, _P14, _P14),
-        *product(_P14, _P34, _P34, _P14),
-        *product(_P34, _P14, _P14, _P34),
-        *product(_P34, _P34, _P34, _P34),
-    ],
-    ClassId.C: [
-        *product(_P14, _P14, _P34, _P34),
-        *product(_P34, _P34, _P14, _P14),
-        *product(_P14, _P34, _P14, _P34),
-        *product(_P34, _P14, _P34, _P14),
-    ],
-    ClassId.D1: list(product(_P0, _P0, _P0, _P0)),
-    ClassId.D2: list(product(_P12, _P12, _P12, _P12)),
-    ClassId.E1: list(product(_P0, _P12, _P12, _P0)),
-    ClassId.E2: list(product(_P12, _P0, _P0, _P12)),
-}
+_QUARTERS = tuple(Fraction(k, 4) for k in range(8))
 
 
 def enumerate_discrete_solutions(class_id) -> List[Tuple[Fraction, Fraction, Fraction, Fraction]]:
     """All phase 4-tuples (alpha1, beta1, alpha2, beta2), in units of pi,
-    admitted by the family: 64 for B and C, 32 for D and E (16 per split).
+    admitted by the family, derived from FAMILY_RULES: the points of the
+    pi/4 phase grid (k/4, k = 0..7) that pass phase_violation of a matching
+    row ("D" and "E" match both splits), in lexicographic order.  64 for B
+    and C, 32 for D and E (16 per split).
 
-    The A family is continuous; NotDiscreteError carries its congruence.
+    The A family is continuous: NotDiscreteError carries its congruence.
+    An unknown name raises ValueError.
     """
     name = class_id.value if isinstance(class_id, ClassId) else str(class_id)
-    if name in ("A", "A1", "A2"):
-        cong = {
-            "A": "alpha1 + beta2 = n pi (theta1 = 0) or alpha2 + beta1 = n pi (theta1 = pi)",
-            "A1": "alpha1 + beta2 = n pi, with alpha2 and beta1 free",
-            "A2": "alpha2 + beta1 = n pi, with alpha1 and beta2 free",
-        }[name]
+    rules = [rule for cid, rule in FAMILY_RULES.items() if name in (cid.value, cid.family)]
+    if not rules:
+        raise ValueError(f"unknown class {name!r}")
+    if rules[0].grid is None:
+        cong = " or ".join(f"{rule.congruences[0][4]} at theta1 {rule.theta_text}"
+                           for rule in rules)
         raise NotDiscreteError(f"class {name} is a continuous family: {cong}", cong)
-    if name == "D":
-        return _SOLUTIONS[ClassId.D1] + _SOLUTIONS[ClassId.D2]
-    if name == "E":
-        return _SOLUTIONS[ClassId.E1] + _SOLUTIONS[ClassId.E2]
-    return list(_SOLUTIONS[ClassId(name)])
+    return [t for t in product(_QUARTERS, repeat=4)
+            if any(rule.phase_violation(t) is None for rule in rules)]
 
 
 # -- strategy sets and matrices ------------------------------------------------

@@ -23,8 +23,8 @@ from itertools import combinations
 from typing import List, Optional, Sequence, Tuple
 
 from .errors import DimensionMismatchError
-from .exactnum import (EXACT, Q2, Field, _make, _parts, _sign, denominators_lcm, exact_value,
-                       from_parts, integral, normalize)
+from .exactnum import (EXACT, Q2, Field, _make, _parts, denominators_lcm, exact_value,
+                       from_parts, integral)
 from .invariance import ExtendedGame
 from .payoff import PayoffPair, format_scalar
 
@@ -39,25 +39,21 @@ def solve_linear(a_rows: List[List], rhs: List):
 
     After k pivots every entry is a (k+1)-minor of [A | b], so each division
     by the previous pivot is exact, and every pivot row ends with the last
-    pivot d on its diagonal: x = numerator / d.  Entries are exact scalars;
-    rows are scaled to integers first: rational ones run on ints, ones with
-    a sqrt(2) part on int pairs (see _eliminate_pairs).  Each column's pivot
-    is its first nonzero entry.
+    pivot on its diagonal.  Entries are integers: ints, or Z[sqrt(2)]
+    integers (Q2 with d = 1).  Int rows run on ints (_eliminate); a system
+    with a Q2 entry runs on int pairs (_eliminate_pairs).  Each column's
+    pivot is its first nonzero entry.
 
     Returns (status, x): status 'unique', 'many' (x is the particular
-    solution with free variables zero) or 'none' (x is None).  Fraction or
-    Q2 entries give x in normalize's types; integer entries (int, Q2 with
-    d = 1) give x = (numerators, d) with d > 0, each an int or, when it has
-    a sqrt(2) part, a Q2 with d = 1, so a caller can decide signs on
-    integers and divide only the solutions it keeps.
+    solution with free variables zero) or 'none' (x is None).  Otherwise
+    x = (numerators, d) with x_i = numerators[i] / d and d a positive int;
+    each numerator is an int or, when it has a sqrt(2) part, a Q2 with
+    d = 1, so a caller can decide signs on integers and divide only the
+    solutions it keeps.
     """
     rows = [list(r) + [v] for r, v in zip(a_rows, rhs)]
     n = len(rows[0]) - 1
-    in_ring = all(isinstance(v, int) or isinstance(v, Q2) and v.d == 1
-                  for row in rows for v in row)
-    if not in_ring:
-        rows = [integral(row, denominators_lcm(row)) for row in rows]
-    if any(isinstance(v, Q2) and v.q for row in rows for v in row):
+    if any(isinstance(v, Q2) for row in rows for v in row):
         parts = [[_parts(v) for v in row] for row in rows]
         status, nums, d = _eliminate_pairs([[p for p, _, _ in row] for row in parts],
                                            [[q for _, q, _ in row] for row in parts], n)
@@ -65,14 +61,12 @@ def solve_linear(a_rows: List[List], rhs: List):
         status, nums, d = _eliminate(rows, n)
     if status == "none":
         return "none", None
-    if in_ring:
-        return status, (nums, d)
-    return status, [_value(v, d) for v in nums]
+    return status, (nums, d)
 
 
 def _eliminate(rows, n):
-    """Bareiss steps on integer rows of [A | b] (ints, or Q2s with d = 1):
-    (status, numerators, d) with d > 0, numerators None for 'none'."""
+    """Bareiss steps on int rows of [A | b]: (status, numerators, d) with
+    d > 0, numerators None for 'none'."""
     m = len(rows)
     d = 1
     pivots = []
@@ -114,7 +108,10 @@ def _eliminate_pairs(ps, qs, n):
     pivot d.  For d = a + b sqrt(2) with b != 0 that is (P x - F y) / N with
     P = p conj(d), F = f conj(d) and N = a^2 - 2 b^2; for rational d, P = p,
     F = f and N = d.  Both parts must divide by N, else ArithmeticError.
-    Q2 objects are built only for the returned numerators and d.
+    The solution is put over the last pivot's N the same way: d is that N
+    made positive, and each numerator is multiplied by the pivot's
+    conjugate and the same sign.  Q2 objects are built only for the
+    returned numerators.
     """
     m = len(ps)
     da, db = 1, 0
@@ -150,11 +147,13 @@ def _eliminate_pairs(ps, qs, n):
         r += 1
     if any(ps[i][n] or qs[i][n] for i in range(r, m)):
         return "none", None, None
-    sign = _sign(da, db)
+    d = da * da - 2 * db * db if db else da  # the last pivot's N
+    sign = 1 if d > 0 else -1
     nums = [0] * n
     for k, c in enumerate(pivots):
-        nums[c] = _ring(sign * ps[k][n], sign * qs[k][n])
-    return ("unique" if len(pivots) == n else "many"), nums, _ring(sign * da, sign * db)
+        p, q = _times_conjugate(ps[k][n], qs[k][n], da, db)
+        nums[c] = _ring(sign * p, sign * q)
+    return ("unique" if len(pivots) == n else "many"), nums, sign * d
 
 
 def _times_conjugate(a, b, da, db):
@@ -454,11 +453,10 @@ def _spread(values, support, n):
 
 
 def _value(num, d):
-    """num / d in normalize's types: a Fraction, or a Q2 when irrational."""
-    if isinstance(d, int):
-        p, q, e = _parts(num)
-        return from_parts(p, q, e * d)
-    return normalize(Q2.coerce(num) / d)
+    """num / d for an integer num and an int d > 0, in normalize's types: a
+    Fraction, or a Q2 when irrational."""
+    p, q, _ = _parts(num)
+    return from_parts(p, q, d)
 
 
 def _excess_best_responses(eq: Equilibrium, p: _Mix, q: _Mix) -> bool:

@@ -15,8 +15,7 @@ from ewlext import (
     partition,
     payoff_closed_form,
 )
-from ewlext.equivalence import EXACT, FLOAT_TOL, Field
-from ewlext.exactnum import Q2
+from ewlext.exactnum import EXACT, FLOAT_TOL, Field, Q2
 from conftest import random_exact_pair, random_float_game, random_lattice_params
 
 U1_EX3 = canonicalize("1/2 pi", "1/2 pi", "1/2 pi")
@@ -137,8 +136,8 @@ def test_field_comparison_rules():
     assert Field.of([Fraction(1, 2), Q2(0, 1), 3]) is EXACT
     assert Field.of_values([Fraction(1, 2), 0.5]) == Field(FLOAT_TOL)
     with pytest.raises(ExactnessError):
-        Field.of([Fraction(1, 2), 0.5], tol=1e-9)
-    assert Field.of([Fraction(1, 2)], mode="float", tol=1e-9) == approx
+        Field.of([Fraction(1, 2), 0.5])
+    assert Field.of([Fraction(1, 2)], mode="float") == Field(FLOAT_TOL)
     assert exact.dot(exact.vector([1, Fraction(1, 2)]), exact.vector([Q2(0, 1), 4])) == Q2(2, 1)
     assert approx.dot(approx.vector([1, Fraction(1, 2)]), approx.vector([2, 4])) == 4.0
     assert list(exact.intern([Fraction(1, 2), 0.5, Q2(0, 1), Q2(1, 0)])) == [0, 0, 1, 2]

@@ -1,5 +1,6 @@
 import math
 from fractions import Fraction
+from itertools import product
 
 import numpy as np
 import pytest
@@ -39,6 +40,28 @@ ALL_CLASS_PARAMS = [
 ]
 
 
+# The paper's explicit solution lists, in units of pi: the independent
+# reference that enumerate_discrete_solutions, derived from FAMILY_RULES,
+# must reproduce.
+_P14 = (Fraction(1, 4), Fraction(5, 4))
+_P34 = (Fraction(3, 4), Fraction(7, 4))
+_P0 = (Fraction(0), Fraction(1))
+_P12 = (Fraction(1, 2), Fraction(3, 2))
+
+PAPER_SOLUTIONS = {
+    "B": {*product(_P14, _P14, _P14, _P14), *product(_P14, _P34, _P34, _P14),
+          *product(_P34, _P14, _P14, _P34), *product(_P34, _P34, _P34, _P34)},
+    "C": {*product(_P14, _P14, _P34, _P34), *product(_P34, _P34, _P14, _P14),
+          *product(_P14, _P34, _P14, _P34), *product(_P34, _P14, _P34, _P14)},
+    "D1": set(product(_P0, _P0, _P0, _P0)),
+    "D2": set(product(_P12, _P12, _P12, _P12)),
+    "E1": set(product(_P0, _P12, _P12, _P0)),
+    "E2": set(product(_P12, _P0, _P0, _P12)),
+}
+PAPER_SOLUTIONS["D"] = PAPER_SOLUTIONS["D1"] | PAPER_SOLUTIONS["D2"]
+PAPER_SOLUTIONS["E"] = PAPER_SOLUTIONS["E1"] | PAPER_SOLUTIONS["E2"]
+
+
 def test_enumerate_counts():
     assert len(enumerate_discrete_solutions("B")) == 64
     assert len(enumerate_discrete_solutions("C")) == 64
@@ -46,6 +69,14 @@ def test_enumerate_counts():
     assert len(enumerate_discrete_solutions("E")) == 32
     assert len(enumerate_discrete_solutions(ClassId.D1)) == 16
     assert len(enumerate_discrete_solutions(ClassId.E2)) == 16
+
+
+def test_enumerate_equals_the_paper_lists():
+    for name, want in PAPER_SOLUTIONS.items():
+        got = enumerate_discrete_solutions(name)
+        assert set(got) == want, name
+        assert got == sorted(got)  # lexicographic, without repeats
+        assert len(got) == len(want)
 
 
 def test_enumerate_membership():
@@ -69,12 +100,19 @@ def test_enumerate_not_discrete_for_a():
     with pytest.raises(NotDiscreteError) as exc:
         enumerate_discrete_solutions("A")
     assert "alpha1 + beta2" in exc.value.congruence
+    assert "alpha2 + beta1" in exc.value.congruence
+    for name, congruence in (("A1", "alpha1 + beta2"), (ClassId.A2, "alpha2 + beta1")):
+        with pytest.raises(NotDiscreteError) as exc:
+            enumerate_discrete_solutions(name)
+        assert exc.value.congruence.startswith(congruence)
+    with pytest.raises(ValueError):
+        enumerate_discrete_solutions("F")
 
 
 def test_every_enumerated_tuple_validates(rng):
     for family, theta in (("B", HALF), ("C", Fraction(1, 3)),
                           ("D", Fraction(1, 3)), ("E", Fraction(1, 3))):
-        for a1, b1, a2, b2 in enumerate_discrete_solutions(family):
+        for a1, b1, a2, b2 in PAPER_SOLUTIONS[family]:
             cid = family
             if family in ("D", "E"):
                 cid = family + ("1" if a1.denominator == 1 else "2")

@@ -40,50 +40,62 @@ def c_ext():
     return extension_matrix(ClassParams.create("C", theta1="1/3 pi"), PD)
 
 
-def test_solve_linear_unique():
-    status, x = solve_linear([[F(2), F(1)], [F(1), F(-1)]], [F(3), F(0)])
-    assert status == "unique"
-    assert x == [F(1), F(1)]
-
-
-def test_solve_linear_inconsistent():
-    status, x = solve_linear([[F(1), F(1)], [F(2), F(2)]], [F(1), F(3)])
-    assert status == "none" and x is None
-
-
-def test_solve_linear_underdetermined():
-    status, x = solve_linear([[F(1), F(1), F(0)]], [F(1)])
-    assert status == "many"
-    assert x[0] == 1 and x[1] == 0  # free variables pinned to zero
-
-
 R2 = Q2(0, 1)  # sqrt(2)
 
 
 def ring_solve(a_rows, rhs):
-    """solve_linear on Z[sqrt(2)] entries: checks that each numerator and d
-    is an int or, with a sqrt(2) part, a Q2 with d = 1, that d > 0 and that
-    x solves the system; returns (status, x)."""
+    """solve_linear on integer entries (ints and Z[sqrt(2)] integers):
+    checks that each numerator is an int or, with a sqrt(2) part, a Q2 with
+    d = 1, that d is a positive int and that x = nums / d solves the system;
+    returns (status, x)."""
     status, x = solve_linear(a_rows, rhs)
     if x is None:
         return status, None
     nums, d = x
-    for v in [*nums, d]:
+    for v in nums:
         assert type(v) is int or type(v) is Q2 and v.d == 1 and v.q != 0, repr(v)
-    assert d > 0
+    assert type(d) is int and d > 0
     x = [Q2.coerce(v) / d for v in nums]
     assert all(sum(a * v for a, v in zip(row, x)) == b for row, b in zip(a_rows, rhs))
     return status, x
 
 
+def test_solve_linear_unique():
+    status, x = ring_solve([[2, 1], [1, -1]], [3, 0])
+    assert status == "unique"
+    assert x == [F(1), F(1)]
+
+
+def test_solve_linear_inconsistent():
+    status, x = solve_linear([[1, 1], [2, 2]], [1, 3])
+    assert status == "none" and x is None
+
+
+def test_solve_linear_underdetermined():
+    status, x = ring_solve([[1, 1, 0]], [1])
+    assert status == "many"
+    assert x[0] == 1 and x[1] == 0  # free variables pinned to zero
+
+
 def test_solve_linear_z_sqrt2_unique_through_a_non_unit_pivot():
     # the first pivot 2 + sqrt(2) has norm 2, so the second step divides by
-    # it through its conjugate and norm; d ends as det A = 1 + 2 sqrt(2)
+    # it through its conjugate and norm; the last pivot is det A = 1 + 2
+    # sqrt(2), and d is its norm 1 - 8 with the sign made positive
     a_rows, rhs = [[2 + R2, 1], [1, R2]], [3, 1 + R2]
     status, x = ring_solve(a_rows, rhs)
     assert status == "unique"
-    assert solve_linear(a_rows, rhs)[1][1] == 1 + 2 * R2
+    assert solve_linear(a_rows, rhs)[1][1] == 7
     assert x == [Q2(F(9, 7), F(-4, 7)), Q2(F(11, 7), F(-1, 7))]
+
+
+def test_solve_linear_z_sqrt2_last_pivot_gives_an_int_d():
+    # a last pivot with a sqrt(2) part: d is its norm made positive, and the
+    # numerators carry its conjugate, for a negative and a positive norm
+    assert solve_linear([[1 + R2]], [1]) == ("unique", ([R2 - 1], 1))
+    assert solve_linear([[3 + R2]], [1]) == ("unique", ([3 - R2], 7))
+    a_rows, rhs = [[1, 1], [1, R2]], [1, 0]  # last pivot det A = sqrt(2) - 1
+    assert ring_solve(a_rows, rhs) == ("unique", [2 + R2, -1 - R2])
+    assert solve_linear(a_rows, rhs)[1][1] == 1
 
 
 def test_solve_linear_z_sqrt2_many_and_none():

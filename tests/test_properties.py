@@ -22,7 +22,7 @@ from ewlext import (
     strongly_isomorphic,
     verify_equilibrium,
 )
-from ewlext.exactnum import normalize
+from ewlext.exactnum import denominators_lcm, integral, normalize
 from ewlext.nash import solve_linear
 from conftest import floated_report, gauss_jordan_reference
 
@@ -140,17 +140,17 @@ def linear_systems(draw):
 @given(linear_systems())
 def test_solve_linear_matches_field_gauss_jordan(system):
     kind, a_rows, rhs = system
-    status, x = solve_linear(a_rows, rhs)
-    # integer entries, and Q2 ones that all have d = 1, lie in the ring
-    # Z[sqrt(2)]: they give numerators over d > 0
-    if all(isinstance(v, int) or isinstance(v, Q2) and v.d == 1
-           for v in [*(v for row in a_rows for v in row), *rhs]):
-        if x is not None:
-            nums, d = x
-            assert d > 0
-            x = [normalize(Q2.coerce(v) / d) for v in nums]
-        a_rows = [[Q2.coerce(v) for v in row] for row in a_rows]
-        rhs = [Q2.coerce(v) for v in rhs]
+    # solve_linear takes integer rows: scale each row of [A | b] by the lcm
+    # of its denominators, which leaves the solutions as they are
+    rows = [[*row, b] for row, b in zip(a_rows, rhs)]
+    rows = [integral(row, denominators_lcm(row)) for row in rows]
+    status, x = solve_linear([row[:-1] for row in rows], [row[-1] for row in rows])
+    if x is not None:
+        nums, d = x
+        assert type(d) is int and d > 0
+        x = [normalize(Q2.coerce(v) / d) for v in nums]
+    a_rows = [[Q2.coerce(v) for v in row] for row in a_rows]
+    rhs = [Q2.coerce(v) for v in rhs]
     want_status, want = gauss_jordan_reference(a_rows, rhs)
     assert status == want_status
     if status == "none":

@@ -40,7 +40,7 @@ from ewlext import (
     verify_invariance_end_to_end,
 )
 from ewlext import solver
-from ewlext.equivalence import FLOAT_TOL, Field
+from ewlext.exactnum import FLOAT_TOL, Field
 from ewlext.solver import (
     UNCLASSIFIED,
     _coefficient_tables,

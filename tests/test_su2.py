@@ -1,5 +1,6 @@
 import math
 from fractions import Fraction
+from itertools import product
 
 import numpy as np
 import pytest
@@ -11,6 +12,7 @@ from ewlext import (
     StrategyParams,
     are_equivalent,
     canonicalize,
+    coefficients,
     phi,
 )
 from conftest import build_unitary, random_float_params, random_lattice_params
@@ -98,6 +100,23 @@ def test_phi_involution_up_to_equivalence(rng):
         p = random_float_params(rng)
         pp = phi(phi(p))
         assert are_equivalent(pp, p, opponents + [p, pp], mode="float")
+    # exactly, on every triple of the pi/8 lattice: phi(phi(U)) = -U, the
+    # triple (theta, alpha + pi, beta + pi)
+    eighths = [Fraction(k, 8) for k in range(16)]
+    for theta, alpha, beta in product(eighths[:9], eighths, eighths):
+        assert phi(phi(canonicalize(theta, alpha, beta))) == canonicalize(
+            theta, alpha + 1, beta + 1)
+    # phi(I) = -iX and phi(iX) = I.  At theta in {0, pi} the canonical
+    # triples differ in a phase that drops out, so compare coefficients
+    # against every strategy of the pi/4 lattice, on both sides.
+    minus_ix = canonicalize(1, 1, 1)
+    quarters = [Fraction(k, 4) for k in range(8)]
+    lattice = [canonicalize(*t) for t in product(quarters[:5], quarters, quarters)]
+    for image, want in ((phi(IDENTITY), minus_ix), (phi(IX), IDENTITY)):
+        assert image != want
+        for s in lattice:
+            assert coefficients(image, s) == coefficients(want, s)
+            assert coefficients(s, image) == coefficients(s, want)
 
 
 def test_params_json_round_trip(rng):
